@@ -22,11 +22,13 @@ def unravel_index(i: int, j: int, rows: int, cols: int, order: str) -> int:
     return i * cols + j if order == ROW_MAJOR else j * rows + i
 
 
-def dense_to_flat(dense, order: str) -> tuple[int, int, list[int]]:
+def dense_to_flat(dense, order: str) -> tuple[int, int, np.ndarray]:
     """Validate a 2-D non-negative integer matrix and flatten it.
 
-    Returns (rows, cols, values) with values as Python ints in unravel
-    order.  Accepts nested sequences or numpy integer arrays.
+    Returns (rows, cols, values) with values as a uint64 array in unravel
+    order.  Accepts nested sequences or numpy integer arrays; numpy
+    integer arrays are checked without leaving numpy, while nested
+    sequences and object arrays must hold Python ints.
     """
     check_order(order)
     if isinstance(dense, np.ndarray):
@@ -42,16 +44,22 @@ def dense_to_flat(dense, order: str) -> tuple[int, int, list[int]]:
     rows, cols = arr.shape
     if rows < 1 or cols < 1:
         raise ValueError("matrix must have at least one row and one column")
-    flat = arr.ravel(order="C" if order == ROW_MAJOR else "F").tolist()
-    for v in flat:
-        if not isinstance(v, int):
-            raise TypeError(f"matrix elements must be integers, got {type(v).__name__}")
-        if v < 0 or v > U64_MAX:
-            raise ValueError(f"element {v} outside unsigned 64-bit range")
-    return rows, cols, flat
+    flat = arr.ravel(order="C" if order == ROW_MAJOR else "F")
+    if arr.dtype.kind == "O":
+        values = flat.tolist()
+        for kind in set(map(type, values)):
+            if not issubclass(kind, int):
+                raise TypeError(f"matrix elements must be integers, got {kind.__name__}")
+        try:
+            return rows, cols, np.fromiter(values, dtype=np.uint64, count=len(values))
+        except OverflowError:
+            bad = next(v for v in values if not 0 <= v <= U64_MAX)
+            raise ValueError(f"element {bad} outside unsigned 64-bit range") from None
+    if arr.dtype.kind == "i" and flat.min() < 0:
+        raise ValueError(f"element {flat.min()} outside unsigned 64-bit range")
+    return rows, cols, flat.astype(np.uint64, copy=False)
 
 
-def flat_to_dense(flat: list[int], rows: int, cols: int, order: str) -> np.ndarray:
-    """Inverse of dense_to_flat; returns a uint64 array."""
-    arr = np.array(flat, dtype=np.uint64)
-    return arr.reshape((rows, cols), order="C" if order == ROW_MAJOR else "F")
+def flat_to_dense(flat: np.ndarray, rows: int, cols: int, order: str) -> np.ndarray:
+    """Inverse of dense_to_flat: shape a uint64 array in unravel order."""
+    return flat.reshape((rows, cols), order="C" if order == ROW_MAJOR else "F")

@@ -5,14 +5,24 @@ bit index 0 is the word's least significant bit.  Fields are therefore
 filled from the low end of each word upward, and a field that does not fit
 in the remaining bits of a word straddles into the low bits of the next
 one (low-order segment first).
+
+Bulk paths go through two word-level numpy kernels, :func:`pack_fields`
+and :func:`unpack_fields`, which place or extract many fields at once
+from arrays of bit positions and widths (word-aligned bulk packing after
+Lemire & Boytsov, "Decoding billions of integers per second through
+vectorization").  ``BitBuffer.read_field``/``write_field`` serve single
+fields.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import FieldOverflow, OutOfBounds
 
 WORD_BITS = 64
 U64_MAX = (1 << 64) - 1
+_ONES = np.uint64(U64_MAX)
 
 
 def bit_length(n: int) -> int:
@@ -23,6 +33,63 @@ def bit_length(n: int) -> int:
     if not 0 <= n <= U64_MAX:
         raise ValueError(f"value out of unsigned 64-bit range: {n}")
     return max(1, int(n).bit_length())
+
+
+def bit_lengths(values: np.ndarray) -> np.ndarray:
+    """Vectorised :func:`bit_length` of a uint64 array, as int64.
+
+    Exact binary search on shifts (no floating point), so every value
+    up to ``2**64 - 1`` is classified correctly; 0 maps to 1.
+    """
+    v = np.array(values, dtype=np.uint64)
+    out = np.ones(v.shape, dtype=np.uint64)
+    for s in (32, 16, 8, 4, 2, 1):
+        shift = (v >= np.uint64(1 << s)) * np.uint64(s)
+        v >>= shift
+        out += shift
+    return out.astype(np.int64)
+
+
+def _split(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Word index and in-word offset (as uint64 shift counts) of bit positions."""
+    pos = np.asarray(pos, dtype=np.int64)
+    return pos >> 6, (pos & 63).astype(np.uint64)
+
+
+def _masks(width) -> np.ndarray:
+    """Field masks ``~0 >> (64 - width)`` for widths in 1..64."""
+    return _ONES >> (WORD_BITS - np.asarray(width, dtype=np.int64)).astype(np.uint64)
+
+
+def pack_fields(words: np.ndarray, pos, width, values: np.ndarray) -> None:
+    """OR fields ``values`` of ``width`` bits into ``words`` at bit positions ``pos``.
+
+    ``words`` is a uint64 array whose target fields are zero, with one
+    spare word past the last field.  ``width`` is a scalar or an array
+    matching ``values``; fields must not overlap.  Raises FieldOverflow
+    if a value does not fit its width.  The straddling high part of a
+    field is ``value >> ((64 - off) & 63)`` taken only where ``off > 0``,
+    so no shift is by 64, whose result numpy leaves to the platform.
+    """
+    values = np.asarray(values, dtype=np.uint64)
+    if (values > _masks(width)).any():
+        raise FieldOverflow("a value does not fit its field width")
+    w, off = _split(pos)
+    np.bitwise_or.at(words, w, values << off)
+    np.bitwise_or.at(words, w + 1, np.where(off > 0, values >> ((64 - off) & 63), 0))
+
+
+def unpack_fields(words: np.ndarray, pos, width) -> np.ndarray:
+    """Read the fields of ``width`` bits at bit positions ``pos`` as uint64.
+
+    ``words`` is a uint64 array with one zero pad word after the stream,
+    so a field in the last word can read its (empty) successor.  Callers
+    check that every field lies inside the stream.
+    """
+    w, off = _split(pos)
+    lo = words[w] >> off
+    hi = np.where(off > 0, words[w + 1] << ((64 - off) & 63), 0)
+    return (lo | hi) & _masks(width)
 
 
 class BitBuffer:
@@ -46,6 +113,15 @@ class BitBuffer:
         if bit_len > WORD_BITS * len(words):
             raise ValueError("bit_len exceeds word storage")
         return cls(bit_len, list(words))
+
+    @classmethod
+    def from_array(cls, words: np.ndarray, bit_len: int) -> "BitBuffer":
+        """Adopt a padded uint64 word array as filled by :func:`pack_fields`."""
+        return cls(bit_len, words[: (bit_len + WORD_BITS - 1) // WORD_BITS].tolist())
+
+    def array(self) -> np.ndarray:
+        """The words as a uint64 array with one zero pad word appended."""
+        return np.array(self.words + [0], dtype=np.uint64)
 
     def copy(self) -> "BitBuffer":
         return BitBuffer(self.bit_len, list(self.words))
@@ -103,16 +179,13 @@ class BitBuffer:
 
     def to_bytes(self) -> bytes:
         """Serialize as little-endian 64-bit words."""
-        return b"".join(w.to_bytes(8, "little") for w in self.words)
+        return np.array(self.words, dtype="<u8").tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes, bit_len: int) -> "BitBuffer":
         if len(data) % 8:
             raise ValueError("word payload must be a multiple of 8 bytes")
-        words = [
-            int.from_bytes(data[i : i + 8], "little") for i in range(0, len(data), 8)
-        ]
-        return cls.from_words(words, bit_len)
+        return cls.from_words(np.frombuffer(data, "<u8").tolist(), bit_len)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitBuffer):

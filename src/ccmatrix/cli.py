@@ -8,6 +8,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import experiments
 from .bitstream import U64_MAX
 from .cmatrix import CompressedMatrix
@@ -54,7 +56,8 @@ def parse_text_matrix(text: str) -> list[list[int]]:
 
 
 def format_text_matrix(dense) -> str:
-    return "\n".join(" ".join(str(int(v)) for v in row) for row in dense) + "\n"
+    rows = dense.tolist() if isinstance(dense, np.ndarray) else dense
+    return "\n".join(" ".join(map(str, row)) for row in rows) + "\n"
 
 
 def _print_report(m: CompressedMatrix, show_histogram: bool = False) -> None:

@@ -1,9 +1,11 @@
 """Unified facade over the two codecs with arithmetic on the compressed form.
 
-Operations stream elements straight out of the packed representation and
-never materialize a dense copy of an input.  Results are re-encoded
-fixed-width at the minimal chunk size, which takes two passes: one to
-find the largest result element, one to fill the output buffer.
+Element-wise operations decode each operand once per pass, through the
+bulk unpack kernels, to a uint64 array (8 B per element) and stream its
+elements in row-major order; ``transpose`` and ``matmul`` read operands
+element by element through ``get``.  Results are re-encoded fixed-width
+at the minimal chunk size, which takes two passes: one to find the
+largest result element, one to fill the output buffer.
 """
 
 from __future__ import annotations

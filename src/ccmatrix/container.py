@@ -11,6 +11,13 @@ Layout (all integers little-endian):
     param      u8       chunk width (method 1) or prefix width k (method 2)
     word_count u64
     payload    word_count x u64 packed words
+
+A fixed-width payload may use any chunk width from the bit-length of its
+largest element up to 64: ``SmMatrix.widen`` produces such matrices, so
+the loader accepts them.  A length-prefixed payload must be canonical:
+every prefix is the bit-length of its payload and ``k`` is the
+bit-length of the largest prefix.  Anything else raises CorruptStream,
+so a loaded matrix re-compresses to the same bits.
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitstream import bit_length
+import numpy as np
+
+from .bitstream import bit_length, bit_lengths
 from .cmatrix import CompressedMatrix
 from .sm import SmMatrix
 from .vlb import VlbMatrix
@@ -165,10 +167,8 @@ def measure(m: CompressedMatrix | SmMatrix | VlbMatrix) -> EfficiencyReport:
     derived value (bit-length of the largest bit-length present).
     """
     inner = m.inner if isinstance(m, CompressedMatrix) else m
-    histogram: dict[int, int] = {}
-    for v in inner.iter_values():
-        b = bit_length(v)
-        histogram[b] = histogram.get(b, 0) + 1
+    counts = np.bincount(bit_lengths(inner.values())).tolist()
+    histogram = {b: f for b, f in enumerate(counts) if f}
     allocated = 64 * inner.rows * inner.cols
     used = inner.bits_used
     eta = float(Fraction(allocated - used, allocated))
@@ -182,7 +182,7 @@ def measure(m: CompressedMatrix | SmMatrix | VlbMatrix) -> EfficiencyReport:
         bits_allocated=allocated,
         bits_used=used,
         eta=eta,
-        histogram=dict(sorted(histogram.items())),
+        histogram=histogram,
         k=k,
         method=method,
     )

@@ -4,7 +4,8 @@ Every element is stored in a chunk of ``width`` bits, where ``width`` is
 the bit-length of the largest element at compression time.  Chunks are
 laid out back to back in unravel order, so element access is a single
 O(1) field read (at most two words when the chunk straddles a word
-boundary).
+boundary), and bulk pack/unpack is one vectorised kernel call over the
+chunk positions ``idx * width``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from ._dense import ROW_MAJOR, check_order, dense_to_flat, flat_to_dense, unravel_index
-from .bitstream import BitBuffer, bit_length
-from .errors import NarrowingRequested, OutOfBounds, WidthOverflow
+from .bitstream import WORD_BITS, BitBuffer, bit_length, pack_fields, unpack_fields
+from .errors import FieldOverflow, NarrowingRequested, OutOfBounds, WidthOverflow
 
 
 class SmMatrix:
@@ -34,7 +35,7 @@ class SmMatrix:
     def compress(cls, dense, order: str = ROW_MAJOR) -> "SmMatrix":
         """Pack a dense non-negative integer matrix at the minimal width."""
         rows, cols, flat = dense_to_flat(dense, order)
-        width = bit_length(max(flat))
+        width = bit_length(int(flat.max()))
         return cls._fill(rows, cols, width, order, flat)
 
     @classmethod
@@ -42,22 +43,23 @@ class SmMatrix:
         cls, rows: int, cols: int, width: int, values: Iterable[int], order: str = ROW_MAJOR
     ) -> "SmMatrix":
         """Pack pre-validated values (in unravel order) at a given width."""
-        return cls._fill(rows, cols, width, order, values)
+        try:
+            flat = np.fromiter(values, dtype=np.uint64)
+        except OverflowError as exc:
+            raise FieldOverflow(f"value out of unsigned 64-bit range: {exc}") from None
+        return cls._fill(rows, cols, width, order, flat)
 
     @classmethod
-    def _fill(cls, rows, cols, width, order, values) -> "SmMatrix":
-        buf = BitBuffer(rows * cols * width)
-        write = buf.write_field
-        pos = 0
-        count = 0
-        for v in values:
-            if v:
-                write(pos, width, v)
-            pos += width
-            count += 1
-        if count != rows * cols:
-            raise ValueError(f"expected {rows * cols} values, got {count}")
-        return cls(rows, cols, width, order, buf)
+    def _fill(cls, rows, cols, width, order, flat: np.ndarray) -> "SmMatrix":
+        if not 1 <= width <= WORD_BITS:
+            raise ValueError(f"width must be in 1..64, got {width}")
+        n = rows * cols
+        if flat.size != n:
+            raise ValueError(f"expected {n} values, got {flat.size}")
+        bit_len = n * width
+        words = np.zeros((bit_len + WORD_BITS - 1) // WORD_BITS + 1, dtype=np.uint64)
+        pack_fields(words, np.arange(n, dtype=np.int64) * width, width, flat)
+        return cls(rows, cols, width, order, BitBuffer.from_array(words, bit_len))
 
     def _index(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -85,30 +87,23 @@ class SmMatrix:
             raise NarrowingRequested(
                 f"cannot narrow width {self.width} to {new_width}"
             )
-        return SmMatrix._fill(
-            self.rows, self.cols, new_width, self.order, self.iter_values()
-        )
+        return SmMatrix._fill(self.rows, self.cols, new_width, self.order, self.values())
+
+    def values(self) -> np.ndarray:
+        """All elements in unravel order, as a uint64 array."""
+        pos = np.arange(self.rows * self.cols, dtype=np.int64) * self.width
+        return unpack_fields(self.data.array(), pos, self.width)
 
     def iter_values(self) -> Iterator[int]:
         """Yield elements in unravel order."""
-        read = self.data.read_field
-        width = self.width
-        for idx in range(self.rows * self.cols):
-            yield read(idx * width, width)
+        return iter(self.values().tolist())
 
     def iter_rowmajor(self) -> Iterator[int]:
         """Yield elements row by row regardless of stored order."""
-        if self.order == ROW_MAJOR:
-            yield from self.iter_values()
-            return
-        for i in range(self.rows):
-            for j in range(self.cols):
-                yield self.get(i, j)
+        return iter(self.decompress().ravel().tolist())
 
     def decompress(self) -> np.ndarray:
-        return flat_to_dense(
-            list(self.iter_values()), self.rows, self.cols, self.order
-        )
+        return flat_to_dense(self.values(), self.rows, self.cols, self.order)
 
     @property
     def bits_used(self) -> int:

@@ -1,10 +1,17 @@
+import struct
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ccmatrix.cli import format_text_matrix, main, parse_text_matrix
 from ccmatrix.cmatrix import CompressedMatrix
 from ccmatrix.container import dump_bytes, load_bytes, load_matrix, save_matrix
-from ccmatrix.errors import BadMagic, CorruptStream, ParseError, TruncatedPayload
+from ccmatrix.efficiency import eta2, measure
+from ccmatrix.errors import BadMagic, CcmatrixError, CorruptStream, ParseError, TruncatedPayload
 from ccmatrix.genmat import Uniform, sample_matrix
+from ccmatrix.sm import SmMatrix
+from ccmatrix.vlb import VlbMatrix
 
 from conftest import WORKED_ROW
 
@@ -73,6 +80,89 @@ def test_container_rejects_zero_prefix_in_vlb(worked_row):
     m.inner.data.write_field(0, 4, 0)
     with pytest.raises(CorruptStream):
         load_bytes(dump_bytes(m))
+
+
+def vlb_container(k, words, rows=1, cols=1):
+    """A hand-made row-major VLB container."""
+    header = struct.pack("<4sBBBQQBQ", b"CCM1", 1, 2, 0, rows, cols, k, len(words))
+    return header + b"".join(w.to_bytes(8, "little") for w in words)
+
+
+def test_container_accepts_canonical_vlb():
+    m = load_bytes(vlb_container(2, [2 | (3 << 2)]))  # prefix 2, payload 11
+    assert m.decompress().tolist() == [[3]]
+    assert m.inner == VlbMatrix.compress([[3]])
+    rep = measure(m)
+    assert rep.eta == eta2(rep.histogram, m.inner.k)
+
+
+def test_container_rejects_prefix_longer_than_payload():
+    # prefix 5 with payload 00011 once loaded as [[3]], measuring eta 0.875
+    # while eta2({2: 1}, 3) is 0.921875.
+    with pytest.raises(CorruptStream, match="not the bit-length of its payload"):
+        load_bytes(vlb_container(3, [5 | (3 << 3)]))
+
+
+def test_container_rejects_prefix_width_above_minimum():
+    with pytest.raises(CorruptStream, match="prefix width 3"):
+        load_bytes(vlb_container(3, [2 | (3 << 3)]))  # canonical payload, k should be 2
+
+
+def test_container_accepts_widened_sm(worked_row):
+    wide = SmMatrix.compress(worked_row).widen(64)
+    again = load_bytes(dump_bytes(wide))
+    assert again.inner == wide
+    assert again.decompress().tolist() == worked_row
+
+
+def mutate(blob, edits):
+    blob = bytearray(blob)
+    for kind, at, value in edits:
+        if kind == "flip" and blob:
+            i = at % (8 * len(blob))
+            blob[i // 8] ^= 1 << (i % 8)
+        elif kind == "set" and blob:
+            blob[at % len(blob)] = value
+        elif kind == "truncate":
+            del blob[at % (len(blob) + 1) :]
+        elif kind == "extend":
+            blob += bytes([value]) * (1 + at % 16)
+    return bytes(blob)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    top=st.integers(1, 64),
+    method=st.sampled_from(["sm", "vlb"]),
+    order=st.sampled_from(["row", "col"]),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["flip", "set", "truncate", "extend"]),
+            st.integers(0, 2**16),
+            st.integers(0, 255),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(max_examples=400, suppress_health_check=[HealthCheck.too_slow])
+def test_loader_fuzz_only_ccmatrix_errors(seed, shape, top, method, order, edits):
+    dense = sample_matrix(Uniform(1, top), *shape, seed)
+    blob = mutate(dump_bytes(CompressedMatrix.compress(dense, method, order)), edits)
+    try:
+        m = load_bytes(blob)
+    except CcmatrixError:
+        return
+    # Whatever the loader accepts is the canonical encoding of its matrix.
+    assert dump_bytes(m) == blob
+    inner, again = m.inner, m.decompress()
+    if m.method == "vlb":
+        assert inner == VlbMatrix.compress(again, inner.order)
+        rep = measure(m)
+        assert rep.eta == eta2(rep.histogram, inner.k)
+    else:
+        assert inner == SmMatrix.compress(again, inner.order).widen(inner.width)
 
 
 # -- text matrix format --------------------------------------------------

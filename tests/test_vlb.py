@@ -8,19 +8,7 @@ from ccmatrix.errors import CorruptStream, OutOfBounds
 from ccmatrix.sm import SmMatrix
 from ccmatrix.vlb import VlbMatrix
 
-from conftest import WORKED_ROW, WORKED_ROW_BITLENS
-
-
-def encode_reference(values, k):
-    """Independent encoder: write (prefix, payload) pairs into a fresh buffer."""
-    buf = BitBuffer()
-    pos = 0
-    for v in values:
-        b = bit_length(v)
-        buf.write_field(pos, k, b)
-        buf.write_field(pos + k, b, v)
-        pos += k + b
-    return buf
+from conftest import WORKED_ROW, WORKED_ROW_BITLENS, encode_reference
 
 
 def scan_get(m, idx):
