@@ -37,7 +37,7 @@ print(f"{len(c.checkpoints)} checkpoints every 16 elements")
 print(f"get(31, 17) = {c.get(31, 17)} == dense value {big[31, 17]}")
 
 print()
-print("=== streams decode sequentially and roundtrip losslessly ===")
-decoded = list(m.iter_values())
+print("=== values() decodes one lane per checkpoint and roundtrips losslessly ===")
+decoded = m.values().tolist()
 print("decoded:", decoded)
 print("roundtrip exact:", (m.decompress() == np.array(row, dtype=np.uint64)).all())

@@ -18,7 +18,6 @@ from .efficiency import (
     eta1,
     eta2,
     eta2_prob,
-    expected_eta1,
     expected_eta2,
     measure,
     solve_two_point,
@@ -92,7 +91,6 @@ __all__ = [
     "eta1",
     "eta2",
     "eta2_prob",
-    "expected_eta1",
     "expected_eta2",
     "load_matrix",
     "measure",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bitstream import U64_MAX
+from .errors import OutOfBounds
 
 ROW_MAJOR = "row"
 COL_MAJOR = "col"
@@ -18,7 +19,12 @@ def check_order(order: str) -> str:
 
 
 def unravel_index(i: int, j: int, rows: int, cols: int, order: str) -> int:
-    """Position of element (i, j) in the flat unraveling."""
+    """Position of element (i, j) in the flat unraveling.
+
+    Raises OutOfBounds if (i, j) lies outside the rows x cols matrix.
+    """
+    if not (0 <= i < rows and 0 <= j < cols):
+        raise OutOfBounds(f"({i}, {j}) outside {rows}x{cols} matrix")
     return i * cols + j if order == ROW_MAJOR else j * rows + i
 
 

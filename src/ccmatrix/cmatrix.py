@@ -1,11 +1,12 @@
 """Unified facade over the two codecs with arithmetic on the compressed form.
 
-Element-wise operations decode each operand once per pass, through the
-bulk unpack kernels, to a uint64 array (8 B per element) and stream its
-elements in row-major order; ``transpose`` and ``matmul`` read operands
-element by element through ``get``.  Results are re-encoded fixed-width
-at the minimal chunk size, which takes two passes: one to find the
-largest result element, one to fill the output buffer.
+``add``, ``scalar_mul`` and ``equals`` decode each operand once, through
+the bulk unpack kernels, to a uint64 array (8 B per element) and compute
+in numpy; overflow is checked on the arrays before the operation.
+``transpose`` and ``matmul`` read their operands element by element
+through ``get``, each in one loop.  Every operation builds its result
+once as a uint64 array and encodes it once, fixed-width at the minimal
+chunk size, through the same encoder as ``compress``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from ._dense import ROW_MAJOR
-from .bitstream import U64_MAX, bit_length
+from .bitstream import U64_MAX
 from .errors import ArithmeticOverflow, ShapeMismatch
 from .sm import SmMatrix
 from .vlb import DEFAULT_CHECKPOINT_STRIDE, VlbMatrix
@@ -76,9 +77,6 @@ class CompressedMatrix:
     def get(self, i: int, j: int) -> int:
         return self._repr.get(i, j)
 
-    def iter_rowmajor(self) -> Iterator[int]:
-        return self._repr.iter_rowmajor()
-
     def decompress(self) -> np.ndarray:
         return self._repr.decompress()
 
@@ -88,30 +86,23 @@ class CompressedMatrix:
         """Element-wise sum, re-encoded fixed-width at minimal width."""
         if self.shape != other.shape:
             raise ShapeMismatch(f"cannot add {self.shape} and {other.shape}")
-
-        def sums() -> Iterator[int]:
-            for x, y in zip(self.iter_rowmajor(), other.iter_rowmajor()):
-                s = x + y
-                if s > U64_MAX:
-                    raise ArithmeticOverflow(f"{x} + {y} exceeds 64-bit range")
-                yield s
-
-        return self._encode_rowmajor(self.rows, self.cols, sums)
+        a, b = self.decompress(), other.decompress()
+        over = b > U64_MAX - a
+        if over.any():
+            raise ArithmeticOverflow(f"{a[over][0]} + {b[over][0]} exceeds 64-bit range")
+        return CompressedMatrix.compress(a + b)
 
     def scalar_mul(self, s: int) -> "CompressedMatrix":
         """Element-wise product with a non-negative scalar."""
         s = operator.index(s)
         if s < 0 or s > U64_MAX:
             raise ValueError(f"scalar outside unsigned 64-bit range: {s}")
-
-        def products() -> Iterator[int]:
-            for x in self.iter_rowmajor():
-                p = x * s
-                if p > U64_MAX:
-                    raise ArithmeticOverflow(f"{x} * {s} exceeds 64-bit range")
-                yield p
-
-        return self._encode_rowmajor(self.rows, self.cols, products)
+        a = self.decompress()
+        if s:
+            over = a > U64_MAX // s
+            if over.any():
+                raise ArithmeticOverflow(f"{a[over][0]} * {s} exceeds 64-bit range")
+        return CompressedMatrix.compress(a * s)
 
     def matmul(self, other: "CompressedMatrix") -> "CompressedMatrix":
         """Matrix product with checked 64-bit unsigned accumulation.
@@ -145,33 +136,19 @@ class CompressedMatrix:
                                 )
                     yield acc
 
-        return self._encode_rowmajor(self.rows, out_cols, products)
+        out = np.fromiter(products(), dtype=np.uint64, count=self.rows * out_cols)
+        return CompressedMatrix.compress(out.reshape(self.rows, out_cols))
 
     def transpose(self) -> "CompressedMatrix":
-        def swapped() -> Iterator[int]:
-            for j in range(self.cols):
-                for i in range(self.rows):
-                    yield self.get(i, j)
-
-        return self._encode_rowmajor(self.cols, self.rows, swapped)
+        rows, cols = self.rows, self.cols
+        swapped = (self.get(i, j) for j in range(cols) for i in range(rows))
+        out = np.fromiter(swapped, dtype=np.uint64, count=rows * cols)
+        return CompressedMatrix.compress(out.reshape(cols, rows))
 
     def equals(self, other: "CompressedMatrix") -> bool:
         """Element-wise equality, independent of representation."""
-        if self.shape != other.shape:
-            return False
-        return all(
-            x == y for x, y in zip(self.iter_rowmajor(), other.iter_rowmajor())
-        )
-
-    @staticmethod
-    def _encode_rowmajor(rows, cols, make_values) -> "CompressedMatrix":
-        max_v = 0
-        for v in make_values():
-            if v > max_v:
-                max_v = v
-        width = bit_length(max_v)
-        return CompressedMatrix(
-            SmMatrix.from_values(rows, cols, width, make_values(), ROW_MAJOR)
+        return self.shape == other.shape and np.array_equal(
+            self.decompress(), other.decompress()
         )
 
     # -- operators -----------------------------------------------------

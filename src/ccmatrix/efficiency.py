@@ -58,15 +58,6 @@ def eta1(max_bitlen: int) -> float:
     return float(Fraction(64 - max_bitlen, 64))
 
 
-def expected_eta1(max_bitlen: int) -> float:
-    """Expected fixed-width efficiency given the greatest bit-length.
-
-    Identical to :func:`eta1`: the fixed-width cost is fully determined
-    by the widest element, worst case 64.
-    """
-    return eta1(max_bitlen)
-
-
 def eta2(histogram: dict[int, int], k: int = WORST_CASE_K) -> float:
     """Length-prefixed efficiency from a bit-length histogram.
 

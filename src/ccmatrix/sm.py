@@ -10,13 +10,13 @@ chunk positions ``idx * width``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 import numpy as np
 
 from ._dense import ROW_MAJOR, check_order, dense_to_flat, flat_to_dense, unravel_index
 from .bitstream import WORD_BITS, BitBuffer, bit_length, pack_fields, unpack_fields
-from .errors import FieldOverflow, NarrowingRequested, OutOfBounds, WidthOverflow
+from .errors import FieldOverflow, NarrowingRequested, WidthOverflow
 
 
 class SmMatrix:
@@ -61,13 +61,9 @@ class SmMatrix:
         pack_fields(words, np.arange(n, dtype=np.int64) * width, width, flat)
         return cls(rows, cols, width, order, BitBuffer.from_array(words, bit_len))
 
-    def _index(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise OutOfBounds(f"({i}, {j}) outside {self.rows}x{self.cols} matrix")
-        return unravel_index(i, j, self.rows, self.cols, self.order)
-
     def get(self, i: int, j: int) -> int:
-        return self.data.read_field(self._index(i, j) * self.width, self.width)
+        idx = unravel_index(i, j, self.rows, self.cols, self.order)
+        return self.data.read_field(idx * self.width, self.width)
 
     def set(self, i: int, j: int, value: int) -> None:
         """Overwrite one element in place.
@@ -79,7 +75,8 @@ class SmMatrix:
             raise WidthOverflow(
                 f"{value} needs {bit_length(value)} bits, chunk width is {self.width}"
             )
-        self.data.write_field(self._index(i, j) * self.width, self.width, value)
+        idx = unravel_index(i, j, self.rows, self.cols, self.order)
+        self.data.write_field(idx * self.width, self.width, value)
 
     def widen(self, new_width: int) -> "SmMatrix":
         """Re-encode at a larger chunk width, preserving all elements."""
@@ -93,14 +90,6 @@ class SmMatrix:
         """All elements in unravel order, as a uint64 array."""
         pos = np.arange(self.rows * self.cols, dtype=np.int64) * self.width
         return unpack_fields(self.data.array(), pos, self.width)
-
-    def iter_values(self) -> Iterator[int]:
-        """Yield elements in unravel order."""
-        return iter(self.values().tolist())
-
-    def iter_rowmajor(self) -> Iterator[int]:
-        """Yield elements row by row regardless of stored order."""
-        return iter(self.decompress().ravel().tolist())
 
     def decompress(self) -> np.ndarray:
         return flat_to_dense(self.values(), self.rows, self.cols, self.order)

@@ -12,11 +12,14 @@ per checkpoint: all lanes advance one element per vectorised step, so a
 full decode takes ``stride`` steps whatever the matrix size, and each
 lane must end exactly where the next one starts (the lane parallelism
 of Stream VByte, Lemire, Kurz & Rupp, taken across checkpoints).
+
+The lane decoder is also the one stream validator.  Loading a raw
+buffer (``from_buffer``) only hops prefixes to rebuild the checkpoints
+and then decodes once, and the decoder rejects every stream that is not
+decodable or not the canonical encoding of its elements.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .bitstream import (
     pack_fields,
     unpack_fields,
 )
-from .errors import CorruptStream, OutOfBounds
+from .errors import CorruptStream
 
 DEFAULT_CHECKPOINT_STRIDE = 64
 
@@ -93,11 +96,14 @@ class VlbMatrix:
     ) -> "VlbMatrix":
         """Adopt a raw packed buffer, walking it to rebuild checkpoints.
 
-        ``buf.bit_len`` is adjusted to the exact end of the stream.  The
-        walk raises CorruptStream if the stream is not decodable or not
-        canonical: every prefix must be the bit-length of its payload,
-        and ``k`` the bit-length of the largest prefix, so a loaded
-        matrix is bit-identical to compressing its own elements.
+        The walk only hops prefixes, recording a checkpoint every
+        ``checkpoint_stride`` elements, and stops with CorruptStream if a
+        prefix or the last payload would lie past the end of ``buf``.
+        ``buf.bit_len`` is then set to the exact end of the stream, and
+        the lane decoder (:meth:`values`), the one validator, decodes it
+        once: it raises CorruptStream if the stream is not decodable or
+        not canonical, so a loaded matrix is bit-identical to
+        compressing its own elements.
         """
         if checkpoint_stride < 1:
             raise ValueError("checkpoint_stride must be >= 1")
@@ -109,7 +115,6 @@ class VlbMatrix:
         n = rows * cols
         checkpoints = []
         pos = 0
-        top = 0
         for base in range(0, n, checkpoint_stride):
             checkpoints.append((base, pos))
             for _ in range(min(checkpoint_stride, n - base)):
@@ -119,38 +124,17 @@ class VlbMatrix:
                 b = words[pos >> 6] >> off
                 if off > split:
                     b |= words[(pos >> 6) + 1] << (WORD_BITS - off)
-                b &= kmask
-                if not 0 < b <= WORD_BITS:
-                    raise CorruptStream(
-                        f"length prefix {b} exceeds 64 bits"
-                        if b
-                        else f"zero length prefix at bit {pos}"
-                    )
-                pos += k + b
-                if pos > limit:
-                    raise CorruptStream("payload runs past end of stream")
-                high = pos - 1  # the payload's top bit, set unless the payload is 1 bit
-                if b > 1 and not words[high >> 6] >> (high & 63) & 1:
-                    raise CorruptStream(
-                        f"prefix {b} at bit {pos - k - b} is not the bit-length of its payload"
-                    )
-                if b > top:
-                    top = b
-        if k != bit_length(top):
-            raise CorruptStream(
-                f"prefix width {k} is not the bit-length of the largest prefix {top}"
-            )
+                pos += k + (b & kmask)
+        if pos > limit:
+            raise CorruptStream("payload runs past end of stream")
         buf.bit_len = pos
-        return cls(rows, cols, k, order, checkpoint_stride, buf, checkpoints)
-
-    def _index(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise OutOfBounds(f"({i}, {j}) outside {self.rows}x{self.cols} matrix")
-        return unravel_index(i, j, self.rows, self.cols, self.order)
+        m = cls(rows, cols, k, order, checkpoint_stride, buf, checkpoints)
+        m.values()
+        return m
 
     def get(self, i: int, j: int) -> int:
         """Decode one element, hopping prefixes from the nearest checkpoint."""
-        idx = self._index(i, j)
+        idx = unravel_index(i, j, self.rows, self.cols, self.order)
         base, pos = self.checkpoints[idx // self.stride]
         read = self.data.read_field
         k = self.k
@@ -163,11 +147,14 @@ class VlbMatrix:
         """All elements in unravel order, as a uint64 array.
 
         Decodes one lane per checkpoint.  Step ``t`` reads element
-        ``t`` of every lane that has one, checking the same conditions
-        as a serial walk: a prefix or payload running past the end of
-        the stream, a zero prefix, and a prefix above 64.  Afterwards
-        each lane must end at the next checkpoint, and the last lane at
-        the end of the stream.
+        ``t`` of every lane that has one and raises CorruptStream on a
+        prefix or payload running past the end of the stream, a zero
+        prefix, a prefix above 64, or a prefix that is not the
+        bit-length of its payload (the payload's top bit must be set
+        when the prefix is above 1).  Afterwards each lane must end at
+        the next checkpoint, the last lane at the end of the stream, and
+        ``k`` must be the bit-length of the largest prefix.  This is the
+        one place where a stream is validated.
         """
         n = self.rows * self.cols
         k = self.k
@@ -193,19 +180,23 @@ class VlbMatrix:
             end = pos + b
             if (end > limit).any():
                 raise CorruptStream("payload runs past end of stream")
-            out[t::stride] = unpack_fields(words, pos, b)
+            v = unpack_fields(words, pos, b)
+            short = (b > 1) & (v >> (b - 1).astype(np.uint64) == 0)
+            if short.any():
+                raise CorruptStream(
+                    f"prefix {b[short][0]} at bit {pos[short][0] - k} "
+                    "is not the bit-length of its payload"
+                )
+            out[t::stride] = v
             lane_pos[:active] = end
         if (lane_pos != np.append(starts[1:], limit)).any():
             raise CorruptStream("a checkpoint lane does not end where the next one starts")
+        top = bit_length(int(out.max()))  # the largest prefix, as payloads are canonical
+        if k != bit_length(top):
+            raise CorruptStream(
+                f"prefix width {k} is not the bit-length of the largest prefix {top}"
+            )
         return out
-
-    def iter_values(self) -> Iterator[int]:
-        """Yield elements in unravel order."""
-        return iter(self.values().tolist())
-
-    def iter_rowmajor(self) -> Iterator[int]:
-        """Yield elements row by row regardless of stored order."""
-        return iter(self.decompress().ravel().tolist())
 
     def decompress(self) -> np.ndarray:
         return flat_to_dense(self.values(), self.rows, self.cols, self.order)

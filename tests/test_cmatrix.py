@@ -4,6 +4,7 @@ import pytest
 from ccmatrix.bitstream import U64_MAX, bit_length
 from ccmatrix.cmatrix import CompressedMatrix
 from ccmatrix.errors import ArithmeticOverflow, ShapeMismatch
+from ccmatrix.vlb import VlbMatrix
 
 from conftest import WORKED_ROW
 
@@ -69,8 +70,10 @@ def test_add_shape_mismatch():
 
 
 def test_add_overflow_checked():
-    top = CompressedMatrix.compress([[U64_MAX]])
     one = CompressedMatrix.compress([[1]])
+    edge = CompressedMatrix.compress([[U64_MAX - 1]])
+    assert edge.add(one).decompress().tolist() == [[U64_MAX]]
+    top = CompressedMatrix.compress([[U64_MAX]])
     with pytest.raises(ArithmeticOverflow):
         top.add(one)
 
@@ -81,6 +84,9 @@ def test_scalar_identity_and_zero(worked_row):
     zero = m.scalar_mul(0)
     assert zero.inner.width == 1
     assert zero.decompress().tolist() == [[0] * 8]
+    zero = CompressedMatrix.compress([[2**63, 1]]).scalar_mul(0)
+    assert zero.inner.width == 1
+    assert zero.decompress().tolist() == [[0, 0]]
 
 
 def test_scalar_random_vs_oracle(rng):
@@ -96,6 +102,10 @@ def test_scalar_overflow_checked():
     m = CompressedMatrix.compress([[2**63]])
     with pytest.raises(ArithmeticOverflow):
         m.scalar_mul(2)
+    edge = CompressedMatrix.compress([[U64_MAX // 3]])
+    assert edge.scalar_mul(3).decompress().tolist() == [[U64_MAX // 3 * 3]]
+    with pytest.raises(ArithmeticOverflow):
+        CompressedMatrix.compress([[U64_MAX // 3 + 1]]).scalar_mul(3)
 
 
 def test_matmul_identity(rng):
@@ -191,6 +201,30 @@ def test_homomorphism_sample(rng):
             ca.matmul(compress_random(rng, inner)).decompress().tolist()
             == dense_matmul(a, inner)
         )
+
+
+def count_calls(monkeypatch, cls, name):
+    """Wrap cls.name so each call appends to the returned list."""
+    calls = []
+    real = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_operations_evaluate_operands_once(monkeypatch, rng):
+    r, c = 3, 5
+    m = CompressedMatrix.compress(random_dense(rng, r, c), method="vlb", order="col")
+    decodes = count_calls(monkeypatch, VlbMatrix, "values")
+    m.add(m)
+    assert len(decodes) <= 2  # once per operand
+    gets = count_calls(monkeypatch, VlbMatrix, "get")
+    m.transpose()
+    assert len(gets) == r * c  # once per element
 
 
 def test_works_on_numpy_uint64_inputs(rng):

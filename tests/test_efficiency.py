@@ -9,7 +9,6 @@ from ccmatrix.efficiency import (
     eta1,
     eta2,
     eta2_prob,
-    expected_eta1,
     expected_eta2,
     measure,
     solve_two_point,
@@ -43,13 +42,6 @@ def test_eta1_validation():
     for bad in (0, 65, -3):
         with pytest.raises(ValueError):
             eta1(bad)
-
-
-def test_expected_eta1_equals_eta1():
-    for b in (1, 10, 37, 64):
-        assert expected_eta1(b) == eta1(b)
-    assert expected_eta1(64) == 0.0
-    assert expected_eta1(1) == 63 / 64
 
 
 def test_eta2_two_group_half_and_half():

@@ -80,7 +80,7 @@ def test_sm_pack_unpack_match_single_field_path(width, r, c, rnd):
         ref.write_field(i * width, width, v)
     m = SmMatrix.from_values(r, c, width, values)
     assert m.data == ref
-    assert list(m.iter_values()) == [ref.read_field(i * width, width) for i in range(n)]
+    assert m.values().tolist() == [ref.read_field(i * width, width) for i in range(n)]
     assert m.widen(64).decompress().ravel().tolist() == values
 
 
@@ -158,6 +158,20 @@ def test_lane_decoder_rejects_truncated_last_lane():
         m.values()
     m.data.bit_len = starts[-1] + m.k - 1  # last prefix cut as well
     with pytest.raises(CorruptStream, match="prefix runs past end"):
+        m.values()
+
+
+@pytest.mark.parametrize(
+    "k, word, bit_len, match",
+    [
+        (3, 5 | (3 << 3), 8, "not the bit-length of its payload"),  # prefix 5, payload 00011
+        (3, 2 | (3 << 3), 5, "prefix width 3"),  # canonical payload 11, k should be 2
+    ],
+    ids=["prefix-above-payload-length", "k-above-minimum"],
+)
+def test_lane_decoder_rejects_non_canonical_stream(k, word, bit_len, match):
+    m = VlbMatrix(1, 1, k, "row", STRIDE, BitBuffer.from_words([word], bit_len), [(0, 0)])
+    with pytest.raises(CorruptStream, match=match):
         m.values()
 
 

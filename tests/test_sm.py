@@ -83,7 +83,7 @@ def test_widen_preserves_elements(worked_row):
     m = SmMatrix.compress(worked_row)
     wide = m.widen(11)
     assert wide.width == 11
-    assert list(wide.iter_values()) == WORKED_ROW
+    assert wide.values().tolist() == WORKED_ROW
     assert wide.bits_used == 8 * 11
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccmatrix._dense import unravel_index
 from ccmatrix.bitstream import BitBuffer, bit_length
 from ccmatrix.errors import CorruptStream, OutOfBounds
 from ccmatrix.sm import SmMatrix
@@ -70,7 +71,7 @@ def test_get_matches_dense_and_scan_oracle(rng):
             for i in range(9):
                 for j in range(13):
                     assert m.get(i, j) == dense[i, j]
-                    idx = m._index(i, j)
+                    idx = unravel_index(i, j, 9, 13, order)
                     assert m.get(i, j) == scan_get(m, idx)
 
 
@@ -99,14 +100,14 @@ def test_roundtrip_single_zero():
 
 def test_iter_equals_decompress(worked_row):
     m = VlbMatrix.compress(worked_row)
-    assert list(m.iter_values()) == WORKED_ROW
-    assert next(iter(m.iter_values())) == 900
+    assert m.values().tolist() == WORKED_ROW
+    assert m.values()[0] == 900
 
 
 def test_iter_sum_matches_dense(rng):
     dense = rng.integers(0, 2**20, size=(14, 6), dtype=np.uint64)
     m = VlbMatrix.compress(dense)
-    assert sum(m.iter_values()) == int(dense.sum())
+    assert sum(m.values().tolist()) == int(dense.sum())
 
 
 def test_bit_count_identity_and_bounds(rng):
@@ -146,7 +147,7 @@ def test_truncated_stream_detected(worked_row):
     m = VlbMatrix.compress(worked_row)
     m.data.bit_len -= 3
     with pytest.raises(CorruptStream):
-        list(m.iter_values())
+        m.values()
 
 
 def test_from_buffer_rebuilds_checkpoints(worked_row):
