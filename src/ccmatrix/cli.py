@@ -154,20 +154,16 @@ def cmd_sweep(args) -> int:
         values = list(range(args.lo, args.hi, args.step))
         if not values:
             raise ValueError("empty parameter grid")
-        if args.fig == 6:
-            rows, sm_count = experiments.run_single_beta_grid(
-                values, sample_size=args.size, seed=args.seed
-            )
-            fields = experiments.SINGLE_BETA_FIELDS
+        if args.fig == 6:  # single Beta: two axes, weight 0
+            axes, w, fields = 2, 0.0, experiments.SINGLE_BETA_FIELDS
         else:
-            rows, sm_count = experiments.run_mixture_grid(
-                values, w=args.w, sample_size=args.size, seed=args.seed
-            )
-            fields = experiments.MIXTURE_FIELDS
+            axes, w, fields = 4, args.w, experiments.MIXTURE_FIELDS
+        rows, sm_count = experiments.run_mixture_grid(
+            values, w=w, sample_size=args.size, seed=args.seed, axes=axes
+        )
         comments = (
             f"grid step={args.step} lo={args.lo} hi={args.hi} axis_values={len(values)} "
-            f"points={len(rows)} sample_size={args.size} w={args.w if args.fig != 6 else 0.0} "
-            f"seed={args.seed}",
+            f"points={len(rows)} sample_size={args.size} w={w} seed={args.seed}",
             f"sm_favored={sm_count} share={100 * sm_count / len(rows):.4f}%",
         )
     if args.csv:

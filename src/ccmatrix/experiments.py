@@ -6,11 +6,19 @@ cell (distribution parameter x size) derives its stream as
 ``seed XOR (point_index << 16)``, keeping per-replicate streams
 (``cell_seed XOR r``) disjoint across cells; results are therefore
 independent of execution order.
+
+That is what lets grid points and experiment cells run on every usable
+core: numpy's samplers release the GIL, so the calling thread and one
+helper thread per further core each take the next undone item, and the
+rows are assembled in index order.  The output does not depend on the
+thread count, which is why there is no setting for it.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+import threading
 from itertools import product
 
 from .bitstream import U64_MAX, bit_length
@@ -72,6 +80,59 @@ def table_preset(table: int) -> list[tuple[str, int, BitLengthDist]]:
     raise ValueError(f"no preset table {table}")
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map(fn, items) -> list:
+    """``[fn(x) for x in items]``, computed on every usable core.
+
+    The calling thread and one helper thread per further core (at most
+    one thread per item; none on one core) each take the next undone index under a lock,
+    so long and short items spread evenly.  After the first exception no
+    new item starts and the helpers are joined.  Every item below a
+    failed one has run by then, so the exception raised here is the one
+    of the lowest failing index, as in a serial loop.
+    """
+    threads = min(_usable_cores(), len(items))
+    out = [None] * len(items)
+    errors = []
+    lock = threading.Lock()
+    taken = 0
+
+    def work():
+        nonlocal taken
+        while True:
+            with lock:
+                if errors or taken == len(items):
+                    return
+                i = taken
+                taken += 1
+            try:
+                out[i] = fn(items[i])
+            except BaseException as exc:
+                with lock:
+                    errors.append((i, exc))
+                return
+
+    helpers = [threading.Thread(target=work, daemon=True) for _ in range(threads - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        with lock:
+            taken = len(items)  # no new item starts, even on an interrupt
+        for t in helpers:
+            t.join()
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return out
+
+
 def run_experiment(
     dists: list[tuple[str, int, BitLengthDist]],
     sizes=DEFAULT_SIZES,
@@ -80,26 +141,28 @@ def run_experiment(
     k: int | None = WORST_CASE_K,
 ) -> list[dict]:
     """One row per (distribution, size) with replicated efficiency stats."""
+    cells = [(label, param, dist, size) for label, param, dist in dists for size in sizes]
+
+    def cell_stats(c):
+        dist, size = cells[c][2:]
+        return replicate_efficiency(dist, size, replicates, derive_cell_seed(seed, c), k)
+
     rows = []
-    cell = 0
-    for label, param, dist in dists:
-        for size in sizes:
-            cell_seed = derive_cell_seed(seed, cell)
-            s = replicate_efficiency(dist, size, replicates, cell_seed, k)
-            rows.append(
-                {
-                    "distribution": label,
-                    "param": param,
-                    "size": size,
-                    "replicates": replicates,
-                    "eta2_mean": f"{s.eta2_mean:.6f}",
-                    "eta2_sd": f"{s.eta2_sd:.6f}",
-                    "eta1_mean": f"{s.eta1_mean:.6f}",
-                    "eta1_sd": f"{s.eta1_sd:.6f}",
-                    "seed": cell_seed,
-                }
-            )
-            cell += 1
+    for c, s in enumerate(_map(cell_stats, range(len(cells)))):
+        label, param, _, size = cells[c]
+        rows.append(
+            {
+                "distribution": label,
+                "param": param,
+                "size": size,
+                "replicates": replicates,
+                "eta2_mean": f"{s.eta2_mean:.6f}",
+                "eta2_sd": f"{s.eta2_sd:.6f}",
+                "eta1_mean": f"{s.eta1_mean:.6f}",
+                "eta1_sd": f"{s.eta1_sd:.6f}",
+                "seed": derive_cell_seed(seed, c),
+            }
+        )
     return rows
 
 
@@ -118,48 +181,34 @@ def run_mixture_grid(
     sample_size: int = SWEEP_DEFAULT_SAMPLE,
     seed: int = 0,
     k: int = WORST_CASE_K,
+    axes: int = 4,
 ) -> tuple[list[dict], int]:
-    """Sweep the four-parameter mixture grid; returns (rows, sm_favored_count)."""
+    """Sweep a Beta-mixture parameter grid; returns (rows, sm_favored_count).
+
+    With ``axes=4`` each point is (alpha1, beta1, alpha2, beta2), every
+    parameter taken from ``values``, and rows have MIXTURE_FIELDS.  With
+    ``axes=2`` each point is (alpha, beta), sampled as the mixture of
+    Beta(alpha, beta) with itself, and rows have SINGLE_BETA_FIELDS;
+    ``w=0`` makes that a plain single-Beta draw (figure 6).
+    """
+    if axes not in (2, 4):
+        raise ValueError(f"axes must be 2 or 4, got {axes}")
+    names = (MIXTURE_FIELDS if axes == 4 else SINGLE_BETA_FIELDS)[:axes]
+    points = list(product(values, repeat=axes))
+
+    def point_stats(idx):
+        params = points[idx] if axes == 4 else points[idx] * 2
+        dist = BetaMixture(*params, w)
+        return _grid_point_row(dist, sample_size, derive_point_seed(seed, idx), k)
+
     rows = []
     sm_favored = 0
-    for idx, (a1, b1, a2, b2) in enumerate(product(values, repeat=4)):
-        dist = BetaMixture(a1, b1, a2, b2, w)
-        mean_b, e1, e2, d = _grid_point_row(dist, sample_size, derive_point_seed(seed, idx), k)
+    for params, (mean_b, e1, e2, d) in zip(points, _map(point_stats, range(len(points)))):
         if d >= 0:
             sm_favored += 1
         rows.append(
             {
-                "alpha1": a1,
-                "beta1": b1,
-                "alpha2": a2,
-                "beta2": b2,
-                "mean_bitlen": f"{mean_b:.6f}",
-                "eta1": f"{e1:.6f}",
-                "eta2": f"{e2:.6f}",
-                "D": f"{d:.6f}",
-            }
-        )
-    return rows, sm_favored
-
-
-def run_single_beta_grid(
-    values,
-    sample_size: int = SWEEP_DEFAULT_SAMPLE,
-    seed: int = 0,
-    k: int = WORST_CASE_K,
-) -> tuple[list[dict], int]:
-    """Sweep a single-Beta (two-parameter) grid; returns (rows, sm_favored_count)."""
-    rows = []
-    sm_favored = 0
-    for idx, (a, b) in enumerate(product(values, repeat=2)):
-        dist = BetaMixture(a, b, a, b, 0.0)
-        mean_b, e1, e2, d = _grid_point_row(dist, sample_size, derive_point_seed(seed, idx), k)
-        if d >= 0:
-            sm_favored += 1
-        rows.append(
-            {
-                "alpha": a,
-                "beta": b,
+                **dict(zip(names, params)),
                 "mean_bitlen": f"{mean_b:.6f}",
                 "eta1": f"{e1:.6f}",
                 "eta2": f"{e2:.6f}",

@@ -142,10 +142,11 @@ def unit_to_bitlen(x):
 def _draw_bitlens(dist: BitLengthDist, n: int, rng: np.random.Generator) -> np.ndarray:
     if isinstance(dist, BetaMixture):
         pick1 = rng.random(n) < dist.w
+        first = np.flatnonzero(pick1)  # integer scatter beats a boolean mask
+        rest = np.flatnonzero(~pick1)
         x = np.empty(n)
-        n1 = int(pick1.sum())
-        x[pick1] = rng.beta(dist.alpha1, dist.beta1, size=n1)
-        x[~pick1] = rng.beta(dist.alpha2, dist.beta2, size=n - n1)
+        x[first] = rng.beta(dist.alpha1, dist.beta1, size=first.size)
+        x[rest] = rng.beta(dist.alpha2, dist.beta2, size=rest.size)
         return unit_to_bitlen(x)
     if isinstance(dist, Uniform):
         return rng.integers(dist.a, dist.b, size=n, endpoint=True, dtype=np.int64)
@@ -155,7 +156,7 @@ def _draw_bitlens(dist: BitLengthDist, n: int, rng: np.random.Generator) -> np.n
         out = rng.poisson(dist.lam, size=n).astype(np.int64)
         over = out > dist.max_bitlen
         while over.any():
-            out[over] = rng.poisson(dist.lam, size=int(over.sum()))
+            out[over] = rng.poisson(dist.lam, size=np.count_nonzero(over))
             over = out > dist.max_bitlen
         return out
     if isinstance(dist, Constant):

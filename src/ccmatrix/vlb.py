@@ -40,7 +40,7 @@ DEFAULT_CHECKPOINT_STRIDE = 64
 class VlbMatrix:
     """Matrix packed as (bit-length prefix, payload) pairs."""
 
-    __slots__ = ("rows", "cols", "k", "order", "stride", "data", "checkpoints")
+    __slots__ = ("rows", "cols", "k", "order", "stride", "data", "checkpoints", "_loaded")
 
     def __init__(
         self,
@@ -59,6 +59,7 @@ class VlbMatrix:
         self.stride = stride
         self.data = data
         self.checkpoints = checkpoints
+        self._loaded = None  # elements decoded by from_buffer, until values() takes them
 
     @classmethod
     def compress(
@@ -100,10 +101,12 @@ class VlbMatrix:
         ``checkpoint_stride`` elements, and stops with CorruptStream if a
         prefix or the last payload would lie past the end of ``buf``.
         ``buf.bit_len`` is then set to the exact end of the stream, and
-        the lane decoder (:meth:`values`), the one validator, decodes it
-        once: it raises CorruptStream if the stream is not decodable or
-        not canonical, so a loaded matrix is bit-identical to
-        compressing its own elements.
+        the lane decoder, the one validator, decodes it once: it raises
+        CorruptStream if the stream is not decodable or not canonical,
+        so a loaded matrix is bit-identical to compressing its own
+        elements.  The decoded elements stay on the matrix until the
+        first :meth:`values` call takes them, so loading and then
+        decoding a stream decodes it once.
         """
         if checkpoint_stride < 1:
             raise ValueError("checkpoint_stride must be >= 1")
@@ -129,7 +132,7 @@ class VlbMatrix:
             raise CorruptStream("payload runs past end of stream")
         buf.bit_len = pos
         m = cls(rows, cols, k, order, checkpoint_stride, buf, checkpoints)
-        m.values()
+        m._loaded = m._decode()
         return m
 
     def get(self, i: int, j: int) -> int:
@@ -144,14 +147,18 @@ class VlbMatrix:
         return read(pos + k, b)
 
     def values(self) -> np.ndarray:
-        """All elements in unravel order, as a uint64 array.
+        """All elements in unravel order, as a new uint64 array."""
+        out, self._loaded = self._loaded, None
+        return self._decode() if out is None else out
 
-        Decodes one lane per checkpoint.  Step ``t`` reads element
-        ``t`` of every lane that has one and raises CorruptStream on a
-        prefix or payload running past the end of the stream, a zero
-        prefix, a prefix above 64, or a prefix that is not the
-        bit-length of its payload (the payload's top bit must be set
-        when the prefix is above 1).  Afterwards each lane must end at
+    def _decode(self) -> np.ndarray:
+        """Decode and validate the whole stream, one lane per checkpoint.
+
+        Step ``t`` reads element ``t`` of every lane that has one and
+        raises CorruptStream on a prefix or payload running past the end
+        of the stream, a zero prefix, a prefix above 64, or a prefix that
+        is not the bit-length of its payload (the payload's top bit must
+        be set when the prefix is above 1).  Afterwards each lane must end at
         the next checkpoint, the last lane at the end of the stream, and
         ``k`` must be the bit-length of the largest prefix.  This is the
         one place where a stream is validated.

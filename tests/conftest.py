@@ -28,3 +28,16 @@ def encode_reference(values, k):
         buf.write_field(pos + k, b, v)
         pos += k + b
     return buf
+
+
+def count_calls(monkeypatch, cls, name):
+    """Wrap cls.name so each call appends to the returned list."""
+    calls = []
+    real = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls

@@ -6,7 +6,7 @@ from ccmatrix.cmatrix import CompressedMatrix
 from ccmatrix.errors import ArithmeticOverflow, ShapeMismatch
 from ccmatrix.vlb import VlbMatrix
 
-from conftest import WORKED_ROW
+from conftest import WORKED_ROW, count_calls
 
 
 # dense oracle on Python ints, no compression involved
@@ -201,19 +201,6 @@ def test_homomorphism_sample(rng):
             ca.matmul(compress_random(rng, inner)).decompress().tolist()
             == dense_matmul(a, inner)
         )
-
-
-def count_calls(monkeypatch, cls, name):
-    """Wrap cls.name so each call appends to the returned list."""
-    calls = []
-    real = getattr(cls, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cls, name, counted)
-    return calls
 
 
 def test_operations_evaluate_operands_once(monkeypatch, rng):

@@ -1,9 +1,14 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ccmatrix import cli
 from ccmatrix.cli import format_text_matrix, main, parse_text_matrix
 from ccmatrix.cmatrix import CompressedMatrix
 from ccmatrix.container import dump_bytes, load_bytes, load_matrix, save_matrix
@@ -13,7 +18,7 @@ from ccmatrix.genmat import Uniform, sample_matrix
 from ccmatrix.sm import SmMatrix
 from ccmatrix.vlb import VlbMatrix
 
-from conftest import WORKED_ROW
+from conftest import WORKED_ROW, count_calls
 
 
 def random_matrix(seed, rows=6, cols=5, top=32):
@@ -385,3 +390,46 @@ def test_cli_info_eta_matches_measure_exactly(tmp_path, capsys):
     from ccmatrix.efficiency import measure
 
     assert float(eta_line.split()[1]) == measure(load_matrix(box)).eta
+
+
+def test_loaded_vlb_decodes_again_after_the_load_decode():
+    dense = random_matrix(4, rows=7, cols=9, top=50)
+    m = load_bytes(dump_bytes(CompressedMatrix.compress(dense, method="vlb")))
+    first = m.inner.values()
+    second = m.inner.values()
+    assert first is not second
+    assert (first == second).all() and (m.decompress() == dense).all()
+
+
+@pytest.mark.parametrize("command", ["info", "decompress"])
+def test_cli_decodes_a_vlb_stream_once(tmp_path, monkeypatch, capsys, command):
+    box = tmp_path / "m.ccm"
+    save_matrix(CompressedMatrix.compress(random_matrix(5, rows=20, cols=30), method="vlb"), box)
+    loaded = []
+
+    def load(path):
+        loaded.append(load_matrix(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_matrix", load)
+    decodes = count_calls(monkeypatch, VlbMatrix, "values")
+    argv = [command, str(box)] + ([str(tmp_path / "m.txt")] if command == "decompress" else [])
+    assert main(argv) == 0
+    assert len(decodes) == 1
+    assert loaded[0].inner._loaded is None  # no decoded array outlives the command
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["sweep", "--step", "32", "--size", "100", "--seed", "4"]
+    assert main(argv) == 0
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "ccmatrix", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == capsys.readouterr().out
+    bad = subprocess.run([sys.executable, "-m", "ccmatrix", "info", "/nonexistent/m.ccm"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert bad.returncode == 3 and bad.stderr.startswith("error:")
