@@ -1,9 +1,9 @@
 """Arithmetic directly on the compressed form.
 
-Operations stream elements out of the packed buffers and re-encode the
-result fixed-width at the minimal chunk size; no input is ever expanded
-to a dense 64-bit array.  Overflow past 64 bits raises instead of
-wrapping, so the stored values always mean what they say.
+Each operation decodes its operands once to uint64 arrays, computes in
+numpy and re-encodes the result fixed-width at the minimal chunk size.
+Overflow past 64 bits raises instead of wrapping, so the stored values
+always mean what they say.
 """
 
 import numpy as np

@@ -3,9 +3,10 @@
 Two codecs share a 64-bit-word bitstring substrate: a fixed-width one
 (every element in a chunk sized for the largest element, O(1) access)
 and a length-prefixed one (each element preceded by its exact bit-length,
-checkpointed for seekable access).  On top of them sit element-streamed
-matrix arithmetic, storage-efficiency analytics, bit-length distribution
-samplers, and reproducible efficiency experiments.
+checkpointed for seekable access).  On top of them sit checked matrix
+arithmetic that decodes each operand once, storage-efficiency analytics,
+bit-length distribution samplers, and reproducible efficiency
+experiments.
 """
 
 from .bitstream import BitBuffer, bit_length

@@ -110,8 +110,8 @@ def _build_dist(args):
     if name == "binomial":
         return f"binomial({args.n},{args.p})", args.n, Binomial(args.n, args.p)
     if name == "poisson":
-        lam = args.lam
-        return f"poisson({lam})", int(lam), PoissonTrunc(lam)
+        d = PoissonTrunc(args.lam)  # validate before int() meets a NaN or inf
+        return f"poisson({d.lam})", int(d.lam), d
     if name == "beta-mixture":
         d = BetaMixture(args.alpha1, args.beta1, args.alpha2, args.beta2, args.w)
         return f"beta-mixture({args.alpha1},{args.beta1},{args.alpha2},{args.beta2},w={args.w})", 0, d

@@ -1,18 +1,15 @@
 """Unified facade over the two codecs with arithmetic on the compressed form.
 
-``add``, ``scalar_mul`` and ``equals`` decode each operand once, through
-the bulk unpack kernels, to a uint64 array (8 B per element) and compute
-in numpy; overflow is checked on the arrays before the operation.
-``transpose`` and ``matmul`` read their operands element by element
-through ``get``, each in one loop.  Every operation builds its result
-once as a uint64 array and encodes it once, fixed-width at the minimal
-chunk size, through the same encoder as ``compress``.
+Every operation decodes each operand once, through the bulk unpack
+kernels, to a uint64 array (8 B per element), computes in numpy with
+overflow checked on the arrays, and encodes its result once,
+fixed-width at the minimal chunk size, through the same encoder as
+``compress``.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -107,43 +104,32 @@ class CompressedMatrix:
     def matmul(self, other: "CompressedMatrix") -> "CompressedMatrix":
         """Matrix product with checked 64-bit unsigned accumulation.
 
-        Streams the left operand one row strip at a time; the right
-        operand is read element-wise.
+        The product is computed exactly in Python ints.  The operands are
+        non-negative, so a cell fits in 64 bits exactly when every product
+        and partial sum behind it does; the first cell that does not, in
+        row-major order, is rescanned to report which one overflowed.
         """
         if self.cols != other.rows:
             raise ShapeMismatch(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        inner_dim = self.cols
-        out_cols = other.cols
-
-        def products() -> Iterator[int]:
-            for i in range(self.rows):
-                row = [self.get(i, l) for l in range(inner_dim)]
-                for j in range(out_cols):
-                    acc = 0
-                    for l, a in enumerate(row):
-                        if a:
-                            p = a * other.get(l, j)
-                            if p > U64_MAX:
-                                raise ArithmeticOverflow(
-                                    f"product at ({i}, {j}) exceeds 64-bit range"
-                                )
-                            acc += p
-                            if acc > U64_MAX:
-                                raise ArithmeticOverflow(
-                                    f"sum at ({i}, {j}) exceeds 64-bit range"
-                                )
-                    yield acc
-
-        out = np.fromiter(products(), dtype=np.uint64, count=self.rows * out_cols)
-        return CompressedMatrix.compress(out.reshape(self.rows, out_cols))
+        a, b = self.decompress(), other.decompress()
+        out = a.astype(object) @ b.astype(object)
+        over = np.flatnonzero(out > U64_MAX)
+        if over.size:
+            i, j = divmod(int(over[0]), other.cols)
+            acc = 0
+            for l in range(self.cols):
+                p = int(a[i, l]) * int(b[l, j])
+                if p > U64_MAX:
+                    raise ArithmeticOverflow(f"product at ({i}, {j}) exceeds 64-bit range")
+                acc += p
+                if acc > U64_MAX:
+                    raise ArithmeticOverflow(f"sum at ({i}, {j}) exceeds 64-bit range")
+        return CompressedMatrix.compress(out.astype(np.uint64))
 
     def transpose(self) -> "CompressedMatrix":
-        rows, cols = self.rows, self.cols
-        swapped = (self.get(i, j) for j in range(cols) for i in range(rows))
-        out = np.fromiter(swapped, dtype=np.uint64, count=rows * cols)
-        return CompressedMatrix.compress(out.reshape(cols, rows))
+        return CompressedMatrix.compress(self.decompress().T)
 
     def equals(self, other: "CompressedMatrix") -> bool:
         """Element-wise equality, independent of representation."""

@@ -91,8 +91,8 @@ def eta2_prob(probs: dict[int, float], k: int = WORST_CASE_K) -> float:
     weighted = 0.0
     for b, p in probs.items():
         _check_bitlen(b, lo=0)
-        if p < 0:
-            raise ValueError(f"probability for bit-length {b} is negative")
+        if not p >= 0:  # also rejects NaN
+            raise ValueError(f"probability for bit-length {b} is not >= 0: {p}")
         total += p
         weighted += b * p
     if abs(total - 1.0) > 1e-12:

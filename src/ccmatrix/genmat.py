@@ -14,6 +14,7 @@ sample.  Replicate r of a replicated run derives its stream as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -35,7 +36,10 @@ class BetaMixture:
 
     def __post_init__(self):
         for name in ("alpha1", "beta1", "alpha2", "beta2"):
-            if getattr(self, name) <= 0:
+            shape = getattr(self, name)
+            if not math.isfinite(shape):
+                raise ValueError(f"{name} must be finite")
+            if shape <= 0:
                 raise ValueError(f"{name} must be > 0")
         if not 0 <= self.w <= 1:
             raise ValueError("w must lie in [0, 1]")
@@ -75,10 +79,13 @@ class PoissonTrunc:
     max_bitlen: int = 64
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be > 0")
         if not 1 <= self.max_bitlen <= 64:
             raise ValueError("max_bitlen must lie in 1..64")
+        # the tail is cut by re-drawing, which never ends once
+        # P(X <= max_bitlen) is about 0; a mean inside the range keeps
+        # that probability at 1/2 or more (a Poisson median is < lam + 1/3)
+        if not 0 < self.lam <= self.max_bitlen:
+            raise ValueError(f"lam must lie in (0, max_bitlen={self.max_bitlen}]")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ prefixes from the nearest checkpoint, and bulk decoding runs one lane
 per checkpoint: all lanes advance one element per vectorised step, so a
 full decode takes ``stride`` steps whatever the matrix size, and each
 lane must end exactly where the next one starts (the lane parallelism
-of Stream VByte, Lemire, Kurz & Rupp, taken across checkpoints).
+of Stream VByte, Lemire, Kurz & Rupp, taken across checkpoints).  One
+prefix walker, ``_hop``, serves both ``get`` and the checkpoint rebuild
+in ``from_buffer``.
 
 The lane decoder is also the one stream validator.  Loading a raw
 buffer (``from_buffer``) only hops prefixes to rebuild the checkpoints
@@ -35,6 +37,28 @@ from .bitstream import (
 from .errors import CorruptStream
 
 DEFAULT_CHECKPOINT_STRIDE = 64
+
+
+def _hop(words: list[int], pos: int, count: int, k: int, limit: int) -> int:
+    """Skip ``count`` elements from bit ``pos``, reading only their prefixes.
+
+    Returns the bit where the next element starts.  Raises CorruptStream
+    if a prefix would run past bit ``limit``; ``words`` must hold at
+    least ``limit`` bits, so a prefix that straddles two words always
+    has its second word.
+    """
+    kmask = (1 << k) - 1
+    split = WORD_BITS - k  # prefixes starting past this offset straddle
+    last = limit - k  # the last bit a prefix may start at
+    for _ in range(count):
+        if pos > last:
+            raise CorruptStream("prefix runs past end of stream")
+        off = pos & 63
+        b = words[pos >> 6] >> off
+        if off > split:
+            b |= words[(pos >> 6) + 1] << (WORD_BITS - off)
+        pos += k + (b & kmask)
+    return pos
 
 
 class VlbMatrix:
@@ -111,23 +135,12 @@ class VlbMatrix:
         if checkpoint_stride < 1:
             raise ValueError("checkpoint_stride must be >= 1")
         limit = buf.bit_len
-        last = limit - k  # the last bit a prefix may start at
-        words = buf.words + [0]  # pad word for prefixes straddling the last word
-        kmask = (1 << k) - 1
-        split = WORD_BITS - k  # prefixes starting past this offset straddle
         n = rows * cols
         checkpoints = []
         pos = 0
         for base in range(0, n, checkpoint_stride):
             checkpoints.append((base, pos))
-            for _ in range(min(checkpoint_stride, n - base)):
-                if pos > last:
-                    raise CorruptStream("prefix runs past end of stream")
-                off = pos & 63
-                b = words[pos >> 6] >> off
-                if off > split:
-                    b |= words[(pos >> 6) + 1] << (WORD_BITS - off)
-                pos += k + (b & kmask)
+            pos = _hop(buf.words, pos, min(checkpoint_stride, n - base), k, limit)
         if pos > limit:
             raise CorruptStream("payload runs past end of stream")
         buf.bit_len = pos
@@ -139,12 +152,10 @@ class VlbMatrix:
         """Decode one element, hopping prefixes from the nearest checkpoint."""
         idx = unravel_index(i, j, self.rows, self.cols, self.order)
         base, pos = self.checkpoints[idx // self.stride]
-        read = self.data.read_field
         k = self.k
-        for _ in range(idx - base):
-            pos += k + read(pos, k)
-        b = read(pos, k)
-        return read(pos + k, b)
+        pos = _hop(self.data.words, pos, idx - base, k, self.data.bit_len)
+        read = self.data.read_field
+        return read(pos + k, read(pos, k))
 
     def values(self) -> np.ndarray:
         """All elements in unravel order, as a new uint64 array."""

@@ -206,12 +206,54 @@ def test_homomorphism_sample(rng):
 def test_operations_evaluate_operands_once(monkeypatch, rng):
     r, c = 3, 5
     m = CompressedMatrix.compress(random_dense(rng, r, c), method="vlb", order="col")
-    decodes = count_calls(monkeypatch, VlbMatrix, "values")
-    m.add(m)
-    assert len(decodes) <= 2  # once per operand
+    t = CompressedMatrix.compress(random_dense(rng, c, r), method="vlb")
     gets = count_calls(monkeypatch, VlbMatrix, "get")
-    m.transpose()
-    assert len(gets) == r * c  # once per element
+    for op, operands in [
+        (lambda: m.add(m), 2),
+        (lambda: m.scalar_mul(3), 1),
+        (lambda: m.equals(m), 2),
+        (m.transpose, 1),
+        (lambda: m.matmul(t), 2),
+    ]:
+        decodes = count_calls(monkeypatch, VlbMatrix, "values")
+        op()
+        assert len(decodes) <= operands  # once per VLB operand
+    assert gets == []  # no operation reads element by element
+
+
+def reference_matmul_overflow(a, b):
+    """The exception a per-element checked product raises, or None."""
+    for i in range(len(a)):
+        for j in range(len(b[0])):
+            acc = 0
+            for l in range(len(b)):
+                p = a[i][l] * b[l][j]
+                if p > U64_MAX:
+                    return ArithmeticOverflow, f"product at ({i}, {j}) exceeds 64-bit range"
+                acc += p
+                if acc > U64_MAX:
+                    return ArithmeticOverflow, f"sum at ({i}, {j}) exceeds 64-bit range"
+    return None
+
+
+def test_matmul_overflow_matches_scalar_reference(rng):
+    picks = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63]
+    seen = set()
+    for _ in range(300):
+        r, n, c = (int(x) for x in rng.integers(1, 4, size=3))
+        a, b = ([[picks[x] for x in row] for row in rng.integers(0, len(picks), size=shape)]
+                for shape in ((r, n), (n, c)))
+        expected = reference_matmul_overflow(a, b)
+        ca, cb = compress_random(rng, a), compress_random(rng, b)
+        if expected is None:
+            assert ca.matmul(cb).decompress().tolist() == dense_matmul(a, b)
+            seen.add(None)
+            continue
+        with pytest.raises(ArithmeticOverflow) as err:
+            ca.matmul(cb)
+        assert (type(err.value), str(err.value)) == expected
+        seen.add(expected[1].split()[0])
+    assert seen == {None, "product", "sum"}  # both messages and clean products occur
 
 
 def test_works_on_numpy_uint64_inputs(rng):

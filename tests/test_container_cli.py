@@ -419,17 +419,32 @@ def test_cli_decodes_a_vlb_stream_once(tmp_path, monkeypatch, capsys, command):
     assert loaded[0].inner._loaded is None  # no decoded array outlives the command
 
 
-def test_python_dash_m_runs_the_cli(capsys):
-    argv = ["sweep", "--step", "32", "--size", "100", "--seed", "4"]
-    assert main(argv) == 0
+def run_module(*argv, timeout=120):
+    """Run ``python -m ccmatrix`` in a child process on this checkout's sources."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-m", "ccmatrix", *argv], env=env, capture_output=True, text=True, timeout=120
+    return subprocess.run(
+        [sys.executable, "-m", "ccmatrix", *argv], env=env, capture_output=True, text=True,
+        timeout=timeout,
     )
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["sweep", "--step", "32", "--size", "100", "--seed", "4"]
+    assert main(argv) == 0
+    done = run_module(*argv)
     assert done.returncode == 0, done.stderr
     assert done.stdout == capsys.readouterr().out
-    bad = subprocess.run([sys.executable, "-m", "ccmatrix", "info", "/nonexistent/m.ccm"],
-                         env=env, capture_output=True, text=True, timeout=120)
+    bad = run_module("info", "/nonexistent/m.ccm")
     assert bad.returncode == 3 and bad.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("lam", ["500", "nan", "inf"])
+def test_experiment_rejects_a_poisson_mean_it_cannot_sample(lam):
+    # a mean far past the 64-bit truncation point once made the tail
+    # re-draw loop spin forever
+    argv = ["experiment", "--dist", "poisson", "--lambda", lam, "--size", "100", "--replicates", "1"]
+    done = run_module(*argv, timeout=30)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: lam must lie in")

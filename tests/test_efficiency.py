@@ -84,6 +84,8 @@ def test_eta2_prob_validation():
         eta2_prob({1: 0.5, 64: 0.6}, 7)
     with pytest.raises(ValueError):
         eta2_prob({}, 7)
+    with pytest.raises(ValueError):
+        eta2_prob({1: float("nan"), 64: 1.0}, 7)
 
 
 def test_expected_eta2_known_values():

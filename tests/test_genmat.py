@@ -95,8 +95,19 @@ def test_parameter_validation():
         Binomial(65)
     with pytest.raises(ValueError):
         PoissonTrunc(0.0)
+    for lam in (float("nan"), 65.0, 500.0):  # NaN, or a mean whose tail re-draws never end
+        with pytest.raises(ValueError):
+            PoissonTrunc(lam)
+    with pytest.raises(ValueError):
+        PoissonTrunc(16.0, max_bitlen=8)
     with pytest.raises(ValueError):
         BetaMixture(1, 1, 1, 1, w=1.5)
+    for bad in (float("nan"), float("inf")):  # numpy would sample garbage bit-lengths
+        for i in range(4):
+            shapes = [1.0] * 4
+            shapes[i] = bad
+            with pytest.raises(ValueError):
+                BetaMixture(*shapes)
     with pytest.raises(ValueError):
         Constant(0)
     with pytest.raises(ValueError):
