@@ -14,7 +14,7 @@ m = SmMatrix.compress(row)
 
 print(f"matrix {m.rows}x{m.cols}, chunk width {m.width} bits")
 print(f"bits used: {m.bits_used} (vs {64 * 8} uncompressed)")
-print(f"words: {[f'{w:064b}' for w in m.data.words]}")
+print(f"words: {[f'{w:064b}' for w in m.data.words[: m.data.word_count]]}")
 
 print()
 print("element (0, 6) straddles the word boundary:", m.get(0, 6))

@@ -10,8 +10,9 @@ Bulk paths go through two word-level numpy kernels, :func:`pack_fields`
 and :func:`unpack_fields`, which place or extract many fields at once
 from arrays of bit positions and widths (word-aligned bulk packing after
 Lemire & Boytsov, "Decoding billions of integers per second through
-vectorization").  ``BitBuffer.read_field``/``write_field`` serve single
-fields.
+vectorization"), and take ``BitBuffer.words`` as it is: the stream words
+plus one zero pad word.  ``BitBuffer.read_field``/``write_field`` serve
+single fields.
 """
 
 from __future__ import annotations
@@ -95,46 +96,32 @@ def unpack_fields(words: np.ndarray, pos, width) -> np.ndarray:
 class BitBuffer:
     """Growable bitstring addressed by absolute bit position.
 
-    Invariants: ``bit_len <= 64 * len(words)``, every bit at a position
-    ``>= bit_len`` is zero, and ``len(words)`` is exactly
-    ``ceil(bit_len / 64)`` so equal contents compare equal word-for-word.
+    ``words`` is a uint64 array of ``ceil(bit_len / 64)`` stream words and
+    one zero pad word, the layout the kernels read and write.  Every bit
+    at a position ``>= bit_len`` is zero, so equal contents compare equal.
     """
 
     __slots__ = ("words", "bit_len")
 
-    def __init__(self, bit_len: int = 0, words: list[int] | None = None):
+    def __init__(self, bit_len: int = 0, words: np.ndarray | None = None):
         if words is None:
-            words = [0] * ((bit_len + WORD_BITS - 1) // WORD_BITS)
+            words = np.zeros((bit_len + WORD_BITS - 1) // WORD_BITS + 1, dtype=np.uint64)
         self.words = words
         self.bit_len = bit_len
 
-    @classmethod
-    def from_words(cls, words: list[int], bit_len: int) -> "BitBuffer":
-        if bit_len > WORD_BITS * len(words):
-            raise ValueError("bit_len exceeds word storage")
-        return cls(bit_len, list(words))
-
-    @classmethod
-    def from_array(cls, words: np.ndarray, bit_len: int) -> "BitBuffer":
-        """Adopt a padded uint64 word array as filled by :func:`pack_fields`."""
-        return cls(bit_len, words[: (bit_len + WORD_BITS - 1) // WORD_BITS].tolist())
-
-    def array(self) -> np.ndarray:
-        """The words as a uint64 array with one zero pad word appended."""
-        return np.array(self.words + [0], dtype=np.uint64)
-
     def copy(self) -> "BitBuffer":
-        return BitBuffer(self.bit_len, list(self.words))
+        return BitBuffer(self.bit_len, self.words.copy())
 
     @property
     def word_count(self) -> int:
-        return len(self.words)
+        return self.words.size - 1
 
     def write_field(self, pos: int, width: int, value: int) -> None:
         """Write ``value`` into bits ``[pos, pos + width)``.
 
         Grows the buffer if the field ends past ``bit_len``.  Any previous
-        contents of the field are replaced; no other bit changes.
+        contents of the field are replaced; no other bit changes.  Words
+        are combined as Python ints: ``~mask`` on a numpy uint64 overflows.
         """
         if not 1 <= width <= WORD_BITS:
             raise ValueError(f"width must be in 1..64, got {width}")
@@ -146,20 +133,18 @@ class BitBuffer:
             raise FieldOverflow(f"{value} does not fit in {width} bits")
         end = pos + width
         if end > self.bit_len:
-            words = self.words
-            need = (end + WORD_BITS - 1) // WORD_BITS
-            if need > len(words):
-                words.extend([0] * (need - len(words)))
+            grow = (end + WORD_BITS - 1) // WORD_BITS + 1 - self.words.size
+            if grow > 0:
+                self.words = np.concatenate((self.words, np.zeros(grow, dtype=np.uint64)))
             self.bit_len = end
+        words = self.words
         w, off = divmod(pos, WORD_BITS)
         mask = (1 << width) - 1
         low_room = WORD_BITS - off
-        self.words[w] = (self.words[w] & ~((mask << off) & U64_MAX)) | (
-            (value << off) & U64_MAX
-        )
+        words[w] = (words.item(w) & ~((mask << off) & U64_MAX)) | ((value << off) & U64_MAX)
         if width > low_room:
             hi_mask = mask >> low_room
-            self.words[w + 1] = (self.words[w + 1] & ~hi_mask) | (value >> low_room)
+            words[w + 1] = (words.item(w + 1) & ~hi_mask) | (value >> low_room)
 
     def read_field(self, pos: int, width: int) -> int:
         """Read the unsigned value stored in bits ``[pos, pos + width)``."""
@@ -171,29 +156,34 @@ class BitBuffer:
             )
         w, off = divmod(pos, WORD_BITS)
         mask = (1 << width) - 1
-        out = (self.words[w] >> off) & mask
+        out = (self.words.item(w) >> off) & mask
         low_room = WORD_BITS - off
         if width > low_room:
-            out |= (self.words[w + 1] & (mask >> low_room)) << low_room
+            out |= (self.words.item(w + 1) & (mask >> low_room)) << low_room
         return out
 
     def to_bytes(self) -> bytes:
-        """Serialize as little-endian 64-bit words."""
-        return np.array(self.words, dtype="<u8").tobytes()
+        """Serialize the stream words (not the pad word) as little-endian u64."""
+        return self.words[:-1].astype("<u8", copy=False).tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes, bit_len: int) -> "BitBuffer":
+        """Copy little-endian u64 words into a fresh, writable padded buffer."""
         if len(data) % 8:
             raise ValueError("word payload must be a multiple of 8 bytes")
-        return cls.from_words(np.frombuffer(data, "<u8").tolist(), bit_len)
+        if bit_len > 8 * len(data):
+            raise ValueError("bit_len exceeds word storage")
+        words = np.zeros(len(data) // 8 + 1, dtype=np.uint64)
+        words[:-1] = np.frombuffer(data, "<u8")
+        return cls(bit_len, words)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitBuffer):
             return NotImplemented
-        return self.bit_len == other.bit_len and self.words == other.words
+        return self.bit_len == other.bit_len and np.array_equal(self.words, other.words)
 
     def __hash__(self):  # mutable; identity hashing would be a trap
         raise TypeError("BitBuffer is unhashable")
 
     def __repr__(self) -> str:
-        return f"BitBuffer(bit_len={self.bit_len}, words={len(self.words)})"
+        return f"BitBuffer(bit_len={self.bit_len}, words={self.word_count})"

@@ -110,13 +110,7 @@ def load_bytes(
 
 def _check_padding(buf: BitBuffer) -> None:
     full, off = divmod(buf.bit_len, WORD_BITS)
-    if off:
-        if buf.words[full] >> off:
-            raise CorruptStream("nonzero bits beyond end of stream")
-        rest = buf.words[full + 1 :]
-    else:
-        rest = buf.words[full:]
-    if any(rest):
+    if buf.words.item(full) >> off or buf.words[full + 1 :].any():
         raise CorruptStream("nonzero bits beyond end of stream")
 
 

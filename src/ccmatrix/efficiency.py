@@ -58,13 +58,8 @@ def eta1(max_bitlen: int) -> float:
     return float(Fraction(64 - max_bitlen, 64))
 
 
-def eta2(histogram: dict[int, int], k: int = WORST_CASE_K) -> float:
-    """Length-prefixed efficiency from a bit-length histogram.
-
-    ``1 - sum(b * f) / (64 * total) - k / 64``.  Histogram keys of 0 are
-    accepted so raw distribution samples (which may contain zeros) can be
-    evaluated directly; the codec itself never stores a zero prefix.
-    """
+def _eta2(histogram: dict[int, int], k: int) -> Fraction:
+    """Exact length-prefixed efficiency; rejects an invalid histogram or k."""
     if not histogram:
         raise ValueError("histogram must be non-empty")
     _check_bitlen(k)
@@ -76,7 +71,17 @@ def eta2(histogram: dict[int, int], k: int = WORST_CASE_K) -> float:
             raise ValueError(f"frequency for bit-length {b} must be >= 1, got {f!r}")
         weighted += b * f
         total += f
-    return float(1 - Fraction(weighted, 64 * total) - Fraction(k, 64))
+    return 1 - Fraction(weighted, 64 * total) - Fraction(k, 64)
+
+
+def eta2(histogram: dict[int, int], k: int = WORST_CASE_K) -> float:
+    """Length-prefixed efficiency from a bit-length histogram.
+
+    ``1 - sum(b * f) / (64 * total) - k / 64``.  Histogram keys of 0 are
+    accepted so raw distribution samples (which may contain zeros) can be
+    evaluated directly; the codec itself never stores a zero prefix.
+    """
+    return float(_eta2(histogram, k))
 
 
 def eta2_prob(probs: dict[int, float], k: int = WORST_CASE_K) -> float:
@@ -114,16 +119,8 @@ def compare(histogram: dict[int, int], max_bitlen: int, k: int = WORST_CASE_K) -
     Positive favors the fixed-width codec, negative the length-prefixed
     one.  Computed exactly before conversion to float.
     """
-    if not histogram:
-        raise ValueError("histogram must be non-empty")
     _check_bitlen(max_bitlen)
-    _check_bitlen(k)
-    weighted = sum(b * f for b, f in histogram.items())
-    total = sum(histogram.values())
-    d = Fraction(64 - max_bitlen, 64) - (
-        1 - Fraction(weighted, 64 * total) - Fraction(k, 64)
-    )
-    return float(d)
+    return float(Fraction(64 - max_bitlen, 64) - _eta2(histogram, k))
 
 
 def solve_two_point(

@@ -56,10 +56,9 @@ class SmMatrix:
         n = rows * cols
         if flat.size != n:
             raise ValueError(f"expected {n} values, got {flat.size}")
-        bit_len = n * width
-        words = np.zeros((bit_len + WORD_BITS - 1) // WORD_BITS + 1, dtype=np.uint64)
-        pack_fields(words, np.arange(n, dtype=np.int64) * width, width, flat)
-        return cls(rows, cols, width, order, BitBuffer.from_array(words, bit_len))
+        data = BitBuffer(n * width)
+        pack_fields(data.words, np.arange(n, dtype=np.int64) * width, width, flat)
+        return cls(rows, cols, width, order, data)
 
     def get(self, i: int, j: int) -> int:
         idx = unravel_index(i, j, self.rows, self.cols, self.order)
@@ -89,7 +88,7 @@ class SmMatrix:
     def values(self) -> np.ndarray:
         """All elements in unravel order, as a uint64 array."""
         pos = np.arange(self.rows * self.cols, dtype=np.int64) * self.width
-        return unpack_fields(self.data.array(), pos, self.width)
+        return unpack_fields(self.data.words, pos, self.width)
 
     def decompress(self) -> np.ndarray:
         return flat_to_dense(self.values(), self.rows, self.cols, self.order)

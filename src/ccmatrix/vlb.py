@@ -13,7 +13,7 @@ full decode takes ``stride`` steps whatever the matrix size, and each
 lane must end exactly where the next one starts (the lane parallelism
 of Stream VByte, Lemire, Kurz & Rupp, taken across checkpoints).  One
 prefix walker, ``_hop``, serves both ``get`` and the checkpoint rebuild
-in ``from_buffer``.
+in ``from_buffer``, over the words of one lane or of the whole stream.
 
 The lane decoder is also the one stream validator.  Loading a raw
 buffer (``from_buffer``) only hops prefixes to rebuild the checkpoints
@@ -42,10 +42,11 @@ DEFAULT_CHECKPOINT_STRIDE = 64
 def _hop(words: list[int], pos: int, count: int, k: int, limit: int) -> int:
     """Skip ``count`` elements from bit ``pos``, reading only their prefixes.
 
-    Returns the bit where the next element starts.  Raises CorruptStream
-    if a prefix would run past bit ``limit``; ``words`` must hold at
-    least ``limit`` bits, so a prefix that straddles two words always
-    has its second word.
+    ``words`` is a list of Python ints (indexing the uint64 array per hop
+    is 2-3x slower) and ``pos`` counts from ``words[0]``.  Returns the
+    bit where the next element starts.  Raises CorruptStream if a prefix
+    would run past bit ``limit``; ``words`` must hold at least ``limit``
+    bits, so a prefix that straddles two words always has its second word.
     """
     kmask = (1 << k) - 1
     split = WORD_BITS - k  # prefixes starting past this offset straddle
@@ -59,6 +60,12 @@ def _hop(words: list[int], pos: int, count: int, k: int, limit: int) -> int:
             b |= words[(pos >> 6) + 1] << (WORD_BITS - off)
         pos += k + (b & kmask)
     return pos
+
+
+def _read(words: list[int], pos: int, width: int) -> int:
+    """The ``width``-bit field at bit ``pos``; ``words`` holds the word after its first."""
+    w = pos >> 6
+    return ((words[w] | words[w + 1] << WORD_BITS) >> (pos & 63)) & ((1 << width) - 1)
 
 
 class VlbMatrix:
@@ -99,15 +106,13 @@ class VlbMatrix:
         k = bit_length(int(lengths.max()))
         sizes = lengths + k
         starts = np.cumsum(sizes) - sizes
-        bit_len = int(starts[-1] + sizes[-1])
-        words = np.zeros((bit_len + WORD_BITS - 1) // WORD_BITS + 1, dtype=np.uint64)
-        pack_fields(words, starts, k, lengths)
-        pack_fields(words, starts + k, lengths, flat)
+        data = BitBuffer(int(starts[-1] + sizes[-1]))
+        pack_fields(data.words, starts, k, lengths)
+        pack_fields(data.words, starts + k, lengths, flat)
         checkpoints = list(
             zip(range(0, flat.size, checkpoint_stride), starts[::checkpoint_stride].tolist())
         )
-        buf = BitBuffer.from_array(words, bit_len)
-        return cls(rows, cols, k, order, checkpoint_stride, buf, checkpoints)
+        return cls(rows, cols, k, order, checkpoint_stride, data, checkpoints)
 
     @classmethod
     def from_buffer(
@@ -135,12 +140,13 @@ class VlbMatrix:
         if checkpoint_stride < 1:
             raise ValueError("checkpoint_stride must be >= 1")
         limit = buf.bit_len
+        words = buf.words.tolist()
         n = rows * cols
         checkpoints = []
         pos = 0
         for base in range(0, n, checkpoint_stride):
             checkpoints.append((base, pos))
-            pos = _hop(buf.words, pos, min(checkpoint_stride, n - base), k, limit)
+            pos = _hop(words, pos, min(checkpoint_stride, n - base), k, limit)
         if pos > limit:
             raise CorruptStream("payload runs past end of stream")
         buf.bit_len = pos
@@ -149,13 +155,21 @@ class VlbMatrix:
         return m
 
     def get(self, i: int, j: int) -> int:
-        """Decode one element, hopping prefixes from the nearest checkpoint."""
+        """Decode one element, hopping prefixes from the nearest checkpoint.
+
+        Hops, prefix and payload all read one list of Python ints: the
+        words from that checkpoint to the next one, plus one.
+        """
         idx = unravel_index(i, j, self.rows, self.cols, self.order)
-        base, pos = self.checkpoints[idx // self.stride]
+        lane = idx // self.stride
+        base, pos = self.checkpoints[lane]
+        nxt = self.checkpoints[lane + 1 : lane + 2]
+        end = nxt[0][1] if nxt else self.data.bit_len
+        w0 = pos >> 6
+        words = self.data.words[w0 : (end >> 6) + 2].tolist()
         k = self.k
-        pos = _hop(self.data.words, pos, idx - base, k, self.data.bit_len)
-        read = self.data.read_field
-        return read(pos + k, read(pos, k))
+        pos = _hop(words, pos & 63, idx - base, k, end - (w0 << 6))
+        return _read(words, pos + k, _read(words, pos, k))
 
     def values(self) -> np.ndarray:
         """All elements in unravel order, as a new uint64 array."""
@@ -178,7 +192,7 @@ class VlbMatrix:
         k = self.k
         stride = self.stride
         limit = self.data.bit_len
-        words = self.data.array()
+        words = self.data.words
         starts = np.array([p for _, p in self.checkpoints], dtype=np.int64)
         lane_pos = starts.copy()
         lanes = starts.size

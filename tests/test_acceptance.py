@@ -58,7 +58,7 @@ def test_criterion_01_golden_bit_layout():
     golden = word0.to_bytes(8, "little") + word1.to_bytes(8, "little")
     ok = (
         m.width == 10
-        and m.data.words == [word0, word1]
+        and m.data.words[:-1].tolist() == [word0, word1]
         and m.data.to_bytes() == golden
     )
     elapsed = time.perf_counter() - t0

@@ -120,6 +120,14 @@ def test_container_accepts_widened_sm(worked_row):
     assert again.decompress().tolist() == worked_row
 
 
+def test_set_on_loaded_sm_round_trips(worked_row):
+    m = load_bytes(dump_bytes(SmMatrix.compress(worked_row))).inner
+    m.set(0, 6, 3)  # element 6 straddles words 0 and 1
+    again = load_bytes(dump_bytes(m)).inner
+    assert again == m
+    assert again.values().tolist() == [900, 1023, 721, 256, 1, 10, 3, 20]
+
+
 def mutate(blob, edits):
     blob = bytearray(blob)
     for kind, at, value in edits:

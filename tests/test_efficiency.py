@@ -108,6 +108,10 @@ def test_compare_two_point_favors_vlb():
     d = compare({1: 10, 64: 10}, 64, 7)
     assert d == 0.0 - 0.3828125
     assert d < 0
+    # compare validates its histogram as eta2 does
+    for histogram, max_bitlen in (({100: 1}, 64), ({3: -5, 4: 10}, 8), ({3: 1.5}, 8)):
+        with pytest.raises(ValueError):
+            compare(histogram, max_bitlen)
 
 
 def test_solve_two_point_minimal_efficiency():

@@ -48,8 +48,8 @@ def test_pack_and_unpack_match_single_field_path(spec):
     pos, widths = np.array(pos), np.array(widths)
     words = np.zeros(ref.word_count + 1, dtype=np.uint64)
     pack_fields(words, pos, widths, np.array(values, dtype=np.uint64))
-    assert words.tolist() == ref.words + [0]
-    got = unpack_fields(ref.array(), pos, widths)
+    assert words.tolist() == ref.words.tolist()
+    got = unpack_fields(ref.words, pos, widths)
     assert got.tolist() == [ref.read_field(q, w) for q, w in zip(pos.tolist(), widths.tolist())]
 
 
@@ -121,7 +121,7 @@ def test_vlb_lanes_match_single_field_path(stride, offset, rnd, top):
     starts = element_starts(values, k)
     assert m.checkpoints == [(i, starts[i]) for i in range(0, n, stride)]
     assert m.values().tolist() == values
-    raw = BitBuffer.from_words(m.data.words, 64 * m.data.word_count)
+    raw = BitBuffer.from_bytes(m.data.to_bytes(), 64 * m.data.word_count)
     again = VlbMatrix.from_buffer(1, n, k, "row", raw, checkpoint_stride=stride)
     assert again == m and again.checkpoints == m.checkpoints
 
@@ -170,7 +170,8 @@ def test_lane_decoder_rejects_truncated_last_lane():
     ids=["prefix-above-payload-length", "k-above-minimum"],
 )
 def test_lane_decoder_rejects_non_canonical_stream(k, word, bit_len, match):
-    m = VlbMatrix(1, 1, k, "row", STRIDE, BitBuffer.from_words([word], bit_len), [(0, 0)])
+    buf = BitBuffer.from_bytes(word.to_bytes(8, "little"), bit_len)
+    m = VlbMatrix(1, 1, k, "row", STRIDE, buf, [(0, 0)])
     with pytest.raises(CorruptStream, match=match):
         m.values()
 

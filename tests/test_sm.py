@@ -18,7 +18,7 @@ def test_worked_row_layout(worked_row):
     word0 = sum(v << (10 * i) for i, v in enumerate(WORKED_ROW[:6]))
     word0 |= (700 % 16) << 60
     word1 = (700 // 16) | (20 << 6)
-    assert m.data.words == [word0, word1]
+    assert m.data.words[:-1].tolist() == [word0, word1]
 
 
 def test_eight_by_eight_of_bits_fits_one_word():
@@ -97,7 +97,7 @@ def test_widen_bit_matrix_to_dense_layout():
     wide = SmMatrix.compress(dense).widen(64)
     assert wide.width == 64
     assert (wide.decompress() == np.array(dense, dtype=np.uint64)).all()
-    assert wide.data.words == [1, 0, 0, 1]
+    assert wide.data.words[:-1].tolist() == [1, 0, 0, 1]
 
 
 def test_widen_rejects_narrowing(worked_row):

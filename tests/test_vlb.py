@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccmatrix._dense import unravel_index
-from ccmatrix.bitstream import BitBuffer, bit_length
+from ccmatrix.bitstream import U64_MAX, BitBuffer, bit_length
 from ccmatrix.errors import CorruptStream, OutOfBounds
 from ccmatrix.sm import SmMatrix
 from ccmatrix.vlb import VlbMatrix
@@ -64,15 +64,19 @@ def test_get_out_of_bounds(worked_row):
 
 
 def test_get_matches_dense_and_scan_oracle(rng):
+    # stride 200 > n leaves one lane, whose window ends at bit_len; values
+    # up to U64_MAX give k = 7 and 64-bit payloads straddling words
     for order in ("row", "col"):
-        for stride in (1, 3, 64):
-            dense = rng.integers(0, 2**40, size=(9, 13), dtype=np.uint64)
-            m = VlbMatrix.compress(dense, order, checkpoint_stride=stride)
-            for i in range(9):
-                for j in range(13):
-                    assert m.get(i, j) == dense[i, j]
-                    idx = unravel_index(i, j, 9, 13, order)
-                    assert m.get(i, j) == scan_get(m, idx)
+        for stride in (1, 3, 64, 200):
+            for top in (2**40, U64_MAX):
+                dense = rng.integers(0, top, size=(9, 13), dtype=np.uint64, endpoint=True)
+                m = VlbMatrix.compress(dense, order, checkpoint_stride=stride)
+                assert m.k == (7 if top == U64_MAX else 6)
+                for i in range(9):
+                    for j in range(13):
+                        assert m.get(i, j) == dense[i, j]
+                        idx = unravel_index(i, j, 9, 13, order)
+                        assert m.get(i, j) == scan_get(m, idx)
 
 
 def test_checkpoints_start_at_origin_and_increase(rng):
