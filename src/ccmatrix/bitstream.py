@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FieldOverflow, OutOfBounds
+from .errors import CorruptStream, FieldOverflow, OutOfBounds
 
 WORD_BITS = 64
 U64_MAX = (1 << 64) - 1
@@ -54,12 +54,12 @@ def bit_lengths(values: np.ndarray) -> np.ndarray:
 def _split(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Word index and in-word offset (as uint64 shift counts) of bit positions."""
     pos = np.asarray(pos, dtype=np.int64)
-    return pos >> 6, (pos & 63).astype(np.uint64)
+    return pos >> 6, (pos & 63).view(np.uint64)
 
 
 def _masks(width) -> np.ndarray:
     """Field masks ``~0 >> (64 - width)`` for widths in 1..64."""
-    return _ONES >> (WORD_BITS - np.asarray(width, dtype=np.int64)).astype(np.uint64)
+    return _ONES >> np.uint64(WORD_BITS - width)
 
 
 def pack_fields(words: np.ndarray, pos, width, values: np.ndarray) -> None:
@@ -88,9 +88,8 @@ def unpack_fields(words: np.ndarray, pos, width) -> np.ndarray:
     check that every field lies inside the stream.
     """
     w, off = _split(pos)
-    lo = words[w] >> off
-    hi = np.where(off > 0, words[w + 1] << ((64 - off) & 63), 0)
-    return (lo | hi) & _masks(width)
+    hi = words[w + 1] << (63 - off) << 1  # never a shift by 64; off 0 adds nothing
+    return (words[w] >> off | hi) & _masks(width)
 
 
 class BitBuffer:
@@ -161,6 +160,12 @@ class BitBuffer:
         if width > low_room:
             out |= (self.words.item(w + 1) & (mask >> low_room)) << low_room
         return out
+
+    def check_padding(self) -> None:
+        """Raise CorruptStream if a bit at or past ``bit_len`` is set."""
+        full, off = divmod(self.bit_len, WORD_BITS)
+        if self.words.item(full) >> off or self.words[full + 1 :].any():
+            raise CorruptStream("nonzero bits beyond end of stream")
 
     def to_bytes(self) -> bytes:
         """Serialize the stream words (not the pad word) as little-endian u64."""

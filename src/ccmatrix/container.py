@@ -95,23 +95,15 @@ def load_bytes(
                 f"{word_count} words cannot hold {bit_len} bits exactly"
             )
         buf = BitBuffer.from_bytes(payload, bit_len)
-        _check_padding(buf)
+        buf.check_padding()
         return CompressedMatrix(SmMatrix(rows, cols, param, order_name, buf))
 
     if not 1 <= param <= 7:
         raise BadMagic(f"prefix width {param} outside 1..7")
     buf = BitBuffer.from_bytes(payload, WORD_BITS * word_count)
-    inner = VlbMatrix.from_buffer(rows, cols, param, order_name, buf, checkpoint_stride)
-    if word_count != (buf.bit_len + WORD_BITS - 1) // WORD_BITS:
-        raise CorruptStream("payload longer than the encoded stream")
-    _check_padding(buf)
-    return CompressedMatrix(inner)
-
-
-def _check_padding(buf: BitBuffer) -> None:
-    full, off = divmod(buf.bit_len, WORD_BITS)
-    if buf.words.item(full) >> off or buf.words[full + 1 :].any():
-        raise CorruptStream("nonzero bits beyond end of stream")
+    return CompressedMatrix(
+        VlbMatrix.from_buffer(rows, cols, param, order_name, buf, checkpoint_stride)
+    )
 
 
 def save_matrix(m: CompressedMatrix | SmMatrix | VlbMatrix, path) -> None:

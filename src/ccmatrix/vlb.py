@@ -8,17 +8,18 @@ Prefixes interleaved with payloads make one stream serial: where an
 element starts depends on every prefix before it.  Checkpoints recorded
 every ``stride`` elements therefore serve twice.  Random access hops
 prefixes from the nearest checkpoint, and bulk decoding runs one lane
-per checkpoint: all lanes advance one element per vectorised step, so a
-full decode takes ``stride`` steps whatever the matrix size, and each
-lane must end exactly where the next one starts (the lane parallelism
-of Stream VByte, Lemire, Kurz & Rupp, taken across checkpoints).  One
-prefix walker, ``_hop``, serves both ``get`` and the checkpoint rebuild
-in ``from_buffer``, over the words of one lane or of the whole stream.
+per checkpoint, lengths before payloads as in Stream VByte (Lemire,
+Kurz & Rupp): all lanes hop one element per vectorised step, reading
+prefixes only (``stride`` steps whatever the matrix size), and then one
+pass over groups of whole lanes extracts and checks every payload.  Each
+lane must end exactly where the next one starts.  One prefix walker,
+``_hop``, serves both ``get`` and the checkpoint rebuild in
+``from_buffer``, over the words of one lane or of the whole stream.
 
-The lane decoder is also the one stream validator.  Loading a raw
-buffer (``from_buffer``) only hops prefixes to rebuild the checkpoints
-and then decodes once, and the decoder rejects every stream that is not
-decodable or not the canonical encoding of its elements.
+The lane decoder is also the one stream validator.  ``from_buffer``
+hops prefixes to rebuild the checkpoints, rejects words or set bits
+past the stream's end and decodes once; the decoder rejects every
+stream that is not the canonical encoding of its elements.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .bitstream import (
 from .errors import CorruptStream
 
 DEFAULT_CHECKPOINT_STRIDE = 64
+_GROUP = 4096  # elements per extract pass: its temporaries stay under malloc's mmap threshold
 
 
 def _hop(words: list[int], pos: int, count: int, k: int, limit: int) -> int:
@@ -66,6 +68,23 @@ def _read(words: list[int], pos: int, width: int) -> int:
     """The ``width``-bit field at bit ``pos``; ``words`` holds the word after its first."""
     w = pos >> 6
     return ((words[w] | words[w + 1] << WORD_BITS) >> (pos & 63)) & ((1 << width) - 1)
+
+
+def _corrupt(pos: np.ndarray, b: np.ndarray, k: int, limit: int, v=None) -> CorruptStream:
+    """CorruptStream for the first bad element; ``v`` holds the payloads, once read."""
+    top = (b - 1).view(np.uint64)
+    bad = (pos + k + b > limit) | (top >= WORD_BITS) if v is None else (v | 1) >> top == 0
+    i = int(bad.argmax())
+    p, bi = int(pos[i]), int(b[i])
+    if p > limit - k:
+        return CorruptStream("prefix runs past end of stream")
+    if bi == 0:
+        return CorruptStream(f"zero length prefix at bit {p}")
+    if bi > WORD_BITS:
+        return CorruptStream(f"length prefix {bi} exceeds 64 bits")
+    if p + k + bi > limit:
+        return CorruptStream("payload runs past end of stream")
+    return CorruptStream(f"prefix {bi} at bit {p} is not the bit-length of its payload")
 
 
 class VlbMatrix:
@@ -128,7 +147,8 @@ class VlbMatrix:
 
         The walk only hops prefixes, recording a checkpoint every
         ``checkpoint_stride`` elements, and stops with CorruptStream if a
-        prefix or the last payload would lie past the end of ``buf``.
+        prefix or the last payload would lie past the end of ``buf``, or
+        if ``buf`` holds a whole word or a set bit past the stream's end.
         ``buf.bit_len`` is then set to the exact end of the stream, and
         the lane decoder, the one validator, decodes it once: it raises
         CorruptStream if the stream is not decodable or not canonical,
@@ -149,7 +169,10 @@ class VlbMatrix:
             pos = _hop(words, pos, min(checkpoint_stride, n - base), k, limit)
         if pos > limit:
             raise CorruptStream("payload runs past end of stream")
+        if buf.words.size != -(-pos // WORD_BITS) + 1:
+            raise CorruptStream("payload longer than the encoded stream")
         buf.bit_len = pos
+        buf.check_padding()
         m = cls(rows, cols, k, order, checkpoint_stride, buf, checkpoints)
         m._loaded = m._decode()
         return m
@@ -179,14 +202,14 @@ class VlbMatrix:
     def _decode(self) -> np.ndarray:
         """Decode and validate the whole stream, one lane per checkpoint.
 
-        Step ``t`` reads element ``t`` of every lane that has one and
-        raises CorruptStream on a prefix or payload running past the end
-        of the stream, a zero prefix, a prefix above 64, or a prefix that
-        is not the bit-length of its payload (the payload's top bit must
-        be set when the prefix is above 1).  Afterwards each lane must end at
-        the next checkpoint, the last lane at the end of the stream, and
-        ``k`` must be the bit-length of the largest prefix.  This is the
-        one place where a stream is validated.
+        All lanes hop one element per vectorised step, reading prefixes
+        and storing element starts.  A pass over groups of whole lanes
+        then takes each prefix as the gap to the next start in its lane,
+        raises CorruptStream on a prefix or payload past the end of the
+        stream or a prefix that is 0, above 64 or not the bit-length of
+        its payload, and overwrites the starts with the payloads.  Each
+        lane must end where the next starts, the last at the end of the
+        stream, and ``k`` must be the bit-length of the largest prefix.
         """
         n = self.rows * self.cols
         k = self.k
@@ -198,29 +221,28 @@ class VlbMatrix:
         lanes = starts.size
         last_len = n - (lanes - 1) * stride  # elements in the last lane
         out = np.empty(n, dtype=np.uint64)
+        cap = max(limit - k, 0)  # where a corrupt lane hops past the end, the checks below fail
         for t in range(min(stride, n)):
-            active = lanes if t < last_len else lanes - 1
-            pos = lane_pos[:active]
-            if (pos > limit - k).any():
-                raise CorruptStream("prefix runs past end of stream")
-            b = unpack_fields(words, pos, k).astype(np.int64)
-            if not b.all():
-                raise CorruptStream(f"zero length prefix at bit {pos[b == 0][0]}")
-            if (b > WORD_BITS).any():
-                raise CorruptStream(f"length prefix {b.max()} exceeds 64 bits")
-            pos = pos + k
-            end = pos + b
-            if (end > limit).any():
-                raise CorruptStream("payload runs past end of stream")
-            v = unpack_fields(words, pos, b)
-            short = (b > 1) & (v >> (b - 1).astype(np.uint64) == 0)
-            if short.any():
-                raise CorruptStream(
-                    f"prefix {b[short][0]} at bit {pos[short][0] - k} "
-                    "is not the bit-length of its payload"
-                )
-            out[t::stride] = v
-            lane_pos[:active] = end
+            pos = lane_pos[: lanes if t < last_len else lanes - 1]
+            out[t::stride] = pos
+            b = unpack_fields(words, np.minimum(pos, cap), k)
+            pos += k
+            pos += b.view(np.int64)
+        group = max(1, _GROUP // stride) * stride
+        for a in range(0, n, group):
+            pos = out[a : a + group].view(np.int64)
+            ends = lane_pos[a // stride : (a + group) // stride]
+            b = np.append(pos[1:], ends[-1])  # where the next element of the lane starts
+            b[stride - 1 :: stride] = ends[: b.size // stride]
+            b -= pos
+            b -= k
+            if ends.max() > limit or b.min() < 1 or b.max() > WORD_BITS:
+                raise _corrupt(pos, b, k, limit)
+            v = unpack_fields(words, pos + k, b)
+            # (v | 1) >> (b - 1) is 0 where a payload wider than 1 bit lacks its top bit
+            if ((v | 1) >> (b - 1).view(np.uint64)).min() == 0:
+                raise _corrupt(pos, b, k, limit, v)
+            out[a : a + group] = v
         if (lane_pos != np.append(starts[1:], limit)).any():
             raise CorruptStream("a checkpoint lane does not end where the next one starts")
         top = bit_length(int(out.max()))  # the largest prefix, as payloads are canonical

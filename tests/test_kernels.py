@@ -4,6 +4,8 @@ The reference throughout is the single-field path,
 ``BitBuffer.write_field``/``read_field``, one field at a time.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from ccmatrix.bitstream import (
     U64_MAX,
+    WORD_BITS,
     BitBuffer,
     bit_length,
     bit_lengths,
@@ -18,10 +21,11 @@ from ccmatrix.bitstream import (
     unpack_fields,
 )
 from ccmatrix.errors import CorruptStream, FieldOverflow
+from ccmatrix.genmat import Uniform, sample_matrix
 from ccmatrix.sm import SmMatrix
 from ccmatrix.vlb import VlbMatrix
 
-from conftest import encode_reference
+from conftest import element_starts, encode_reference, scalar_decode
 
 # (gap before the field, width, value): gaps up to 63 put fields at every offset
 field = st.tuples(st.integers(0, 63), st.integers(1, 64)).flatmap(
@@ -99,15 +103,6 @@ def test_sm_from_values_rejects_bad_values():
         SmMatrix.compress([[1, 2]]).widen(65)
 
 
-def element_starts(values, k):
-    """Bit position of every element, by summing prefix and payload sizes."""
-    starts, pos = [], 0
-    for v in values:
-        starts.append(pos)
-        pos += k + bit_length(v)
-    return starts
-
-
 @pytest.mark.parametrize("stride", [1, 3, 64])
 @pytest.mark.parametrize("offset", [-1, 0, 1, "below"])
 @given(rnd=st.randoms(), top=st.integers(0, U64_MAX))
@@ -176,6 +171,13 @@ def test_lane_decoder_rejects_non_canonical_stream(k, word, bit_len, match):
         m.values()
 
 
+def test_lane_decoder_rejects_lane_hopping_past_the_last_word():
+    m = VlbMatrix.compress([[3] * 16], checkpoint_stride=STRIDE)  # 16 x 4 bits: one full word
+    m.checkpoints[-1] = (12, m.checkpoints[-1][1] + 4)  # the last lane starts one element late
+    with pytest.raises(CorruptStream, match="prefix runs past end"):
+        m.values()
+
+
 def test_lane_decoder_rejects_checkpoint_seam_mismatch():
     m, starts = three_lanes()
     # Lane 1 now starts one element late: every element it reads is well
@@ -183,3 +185,75 @@ def test_lane_decoder_rejects_checkpoint_seam_mismatch():
     m.checkpoints[1] = (STRIDE, starts[STRIDE + 1])
     with pytest.raises(CorruptStream, match="checkpoint lane"):
         m.values()
+
+
+def decoded_or_rejected(decode):
+    try:
+        return decode()
+    except CorruptStream:
+        return CorruptStream
+
+
+def random_vlb(data, stride, order):
+    """A VLB matrix of random or periodic elements, and its elements in stream order."""
+    r, c = data.draw(st.integers(1, 20)), data.draw(st.integers(1, 20))
+    rnd = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shifts = rnd.integers(0, data.draw(st.integers(1, 64)), size=r * c, dtype=np.uint64)
+    if data.draw(st.booleans()):  # periodic: a short pattern repeated across lanes
+        shifts = np.resize(shifts[: data.draw(st.integers(1, 5))], r * c)
+    values = rnd.integers(0, 2**64, size=r * c, dtype=np.uint64) >> (63 - shifts)
+    m = VlbMatrix.compress(values.reshape(r, c), order, stride)
+    clean = scalar_decode(m)
+    assert m.data == encode_reference(clean, m.k) and m.values().tolist() == clean
+    return m, clean
+
+
+corruption = st.tuples(
+    st.sampled_from(["flip", "set", "cut", "shift"]), st.integers(0, 2**16), st.integers(0, 2**16)
+)
+
+
+@pytest.mark.parametrize("order", ["row", "col"])
+@pytest.mark.parametrize("stride", [1, 3, 64, 200])
+@given(data=st.data(), edits=st.lists(corruption, max_size=3))
+@settings(max_examples=60)
+def test_decoder_matches_scalar_reference(stride, order, data, edits):
+    m, clean = random_vlb(data, stride, order)
+    starts = element_starts(clean, m.k)
+    for kind, at, value in edits:
+        bits = m.data.bit_len
+        if kind == "flip":
+            i = at % (WORD_BITS * m.data.word_count)
+            m.data.words[i >> 6] ^= np.uint64(1 << (i & 63))
+        elif kind == "shift":  # move a checkpoint by a few bits or onto another element
+            lane = at % len(m.checkpoints)
+            base, pos = m.checkpoints[lane]
+            pos = starts[at % len(starts)] if value & 1 else max(0, pos + value % 128 - 64)
+            m.checkpoints[lane] = (base, pos)
+        elif bits == 0:
+            continue  # nothing left to set or cut
+        elif kind == "set":  # a prefix, or an arbitrary field inside the stream
+            pos, width = starts[at % len(starts)], m.k
+            if value & 1 or pos + width > bits:
+                width = 1 + value % min(8, bits)
+                pos = at % (bits - width + 1)
+            m.data.write_field(pos, width, (value >> 1) % (1 << width))
+        else:
+            m.data.bit_len = bits - 1 - at % bits
+    want = decoded_or_rejected(lambda: scalar_decode(m))
+    got = decoded_or_rejected(lambda: m.values().tolist())
+    assert got == want
+
+
+@pytest.mark.parametrize("side", [100, 250, 500])
+def test_decode_memory_beyond_its_output_is_bounded(side):
+    dense = sample_matrix(Uniform(1, 64), side, side, 7)
+    m = VlbMatrix.compress(dense)
+    tracemalloc.start()
+    try:
+        out = m.values()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.tolist() == dense.ravel().tolist()
+    assert peak - out.nbytes <= 384 * 1024

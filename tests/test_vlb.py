@@ -9,16 +9,7 @@ from ccmatrix.errors import CorruptStream, OutOfBounds
 from ccmatrix.sm import SmMatrix
 from ccmatrix.vlb import VlbMatrix
 
-from conftest import WORKED_ROW, WORKED_ROW_BITLENS, encode_reference
-
-
-def scan_get(m, idx):
-    """Oracle random access: walk every prefix from bit 0."""
-    pos = 0
-    for _ in range(idx):
-        pos += m.k + m.data.read_field(pos, m.k)
-    b = m.data.read_field(pos, m.k)
-    return m.data.read_field(pos + m.k, b)
+from conftest import WORKED_ROW, WORKED_ROW_BITLENS, encode_reference, scan_get
 
 
 def test_worked_row_prefix_and_bit_count(worked_row):
@@ -161,6 +152,17 @@ def test_from_buffer_rebuilds_checkpoints(worked_row):
     assert again.data.bit_len == m.bits_used
     assert again.checkpoints == m.checkpoints
     assert again == m
+
+
+def test_from_buffer_rejects_words_or_bits_past_the_stream(worked_row):
+    m = VlbMatrix.compress(worked_row)  # 91 bits in 2 words
+    longer = m.data.to_bytes() + bytes(16)
+    padded = bytearray(m.data.to_bytes())
+    padded[-1] |= 0x80  # bit 127, past bit_len 91
+    for blob, match in ((longer, "longer than the encoded stream"), (padded, "nonzero bits")):
+        raw = BitBuffer.from_bytes(bytes(blob), 8 * len(blob))
+        with pytest.raises(CorruptStream, match=match):
+            VlbMatrix.from_buffer(1, 8, m.k, "row", raw)
 
 
 @given(
