@@ -34,6 +34,7 @@ print("=== seekable access via checkpoints ===")
 big = np.random.default_rng(1).integers(0, 2**20, size=(40, 40), dtype=np.uint64)
 c = VlbMatrix.compress(big, checkpoint_stride=16)
 print(f"{len(c.checkpoints)} checkpoints every 16 elements")
+print(f"index: {c.checkpoints.nbytes} bytes (8 per lane) beside {c.data.words.nbytes} bytes of words")
 print(f"get(31, 17) = {c.get(31, 17)} == dense value {big[31, 17]}")
 
 print()

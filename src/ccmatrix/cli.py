@@ -24,7 +24,6 @@ from .genmat import (
     TwoPoint,
     Uniform,
 )
-from .vlb import DEFAULT_CHECKPOINT_STRIDE
 
 
 def parse_text_matrix(text: str) -> list[list[int]]:
@@ -83,9 +82,7 @@ def _print_report(m: CompressedMatrix, show_histogram: bool = False) -> None:
 def cmd_compress(args) -> int:
     with open(args.input) as f:
         dense = parse_text_matrix(f.read())
-    m = CompressedMatrix.compress(
-        dense, method=args.method, order=args.order, checkpoint_stride=args.stride
-    )
+    m = CompressedMatrix.compress(dense, method=args.method, order=args.order)
     save_matrix(m, args.output)
     _print_report(m)
     return 0
@@ -190,8 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("output", help="container file to write")
     c.add_argument("--method", choices=("sm", "vlb"), default="sm")
     c.add_argument("--order", choices=("row", "col"), default="row")
-    c.add_argument("--stride", type=int, default=DEFAULT_CHECKPOINT_STRIDE,
-                   help="checkpoint stride for vlb random access")
     c.set_defaults(func=cmd_compress)
 
     d = sub.add_parser("decompress", help="expand a container file back to text")

@@ -17,7 +17,7 @@ from ._dense import ROW_MAJOR
 from .bitstream import U64_MAX
 from .errors import ArithmeticOverflow, ShapeMismatch
 from .sm import SmMatrix
-from .vlb import DEFAULT_CHECKPOINT_STRIDE, VlbMatrix
+from .vlb import VlbMatrix
 
 SM = "sm"
 VLB = "vlb"
@@ -34,17 +34,11 @@ class CompressedMatrix:
         self._repr = inner
 
     @classmethod
-    def compress(
-        cls,
-        dense,
-        method: str = SM,
-        order: str = ROW_MAJOR,
-        checkpoint_stride: int = DEFAULT_CHECKPOINT_STRIDE,
-    ) -> "CompressedMatrix":
+    def compress(cls, dense, method: str = SM, order: str = ROW_MAJOR) -> "CompressedMatrix":
         if method == SM:
             return cls(SmMatrix.compress(dense, order))
         if method == VLB:
-            return cls(VlbMatrix.compress(dense, order, checkpoint_stride))
+            return cls(VlbMatrix.compress(dense, order))
         raise ValueError(f"method must be 'sm' or 'vlb', got {method!r}")
 
     @property

@@ -29,7 +29,7 @@ from .bitstream import WORD_BITS, BitBuffer
 from .cmatrix import CompressedMatrix
 from .errors import BadMagic, CorruptStream, TruncatedPayload
 from .sm import SmMatrix
-from .vlb import DEFAULT_CHECKPOINT_STRIDE, VlbMatrix
+from .vlb import VlbMatrix
 
 MAGIC = b"CCM1"
 VERSION = 1
@@ -60,9 +60,7 @@ def dump_bytes(m: CompressedMatrix | SmMatrix | VlbMatrix) -> bytes:
     return header + inner.data.to_bytes()
 
 
-def load_bytes(
-    blob: bytes, checkpoint_stride: int = DEFAULT_CHECKPOINT_STRIDE
-) -> CompressedMatrix:
+def load_bytes(blob: bytes) -> CompressedMatrix:
     if len(blob) < _HEADER.size:
         raise BadMagic("container shorter than header")
     magic, version, method, order, rows, cols, param, word_count = _HEADER.unpack_from(
@@ -101,14 +99,12 @@ def load_bytes(
     if not 1 <= param <= 7:
         raise BadMagic(f"prefix width {param} outside 1..7")
     buf = BitBuffer.from_bytes(payload, WORD_BITS * word_count)
-    return CompressedMatrix(
-        VlbMatrix.from_buffer(rows, cols, param, order_name, buf, checkpoint_stride)
-    )
+    return CompressedMatrix(VlbMatrix.from_buffer(rows, cols, param, order_name, buf))
 
 
 def save_matrix(m: CompressedMatrix | SmMatrix | VlbMatrix, path) -> None:
     Path(path).write_bytes(dump_bytes(m))
 
 
-def load_matrix(path, checkpoint_stride: int = DEFAULT_CHECKPOINT_STRIDE) -> CompressedMatrix:
-    return load_bytes(Path(path).read_bytes(), checkpoint_stride)
+def load_matrix(path) -> CompressedMatrix:
+    return load_bytes(Path(path).read_bytes())

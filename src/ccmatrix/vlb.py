@@ -7,9 +7,9 @@ bit-length of the largest element, so it never exceeds 7 for 64-bit data.
 Prefixes interleaved with payloads make one stream serial: where an
 element starts depends on every prefix before it.  Checkpoints recorded
 every ``stride`` elements therefore serve twice.  Random access hops
-prefixes from the nearest checkpoint, and bulk decoding runs one lane
-per checkpoint, lengths before payloads as in Stream VByte (Lemire,
-Kurz & Rupp): all lanes hop one element per vectorised step, reading
+prefixes from the start of the element's lane, and bulk decoding runs
+one lane per checkpoint, lengths before payloads as in Stream VByte
+(Lemire, Kurz & Rupp): all lanes hop one element per vectorised step, reading
 prefixes only (``stride`` steps whatever the matrix size), and then one
 pass over groups of whole lanes extracts and checks every payload.  Each
 lane must end exactly where the next one starts.  One prefix walker,
@@ -88,7 +88,14 @@ def _corrupt(pos: np.ndarray, b: np.ndarray, k: int, limit: int, v=None) -> Corr
 
 
 class VlbMatrix:
-    """Matrix packed as (bit-length prefix, payload) pairs."""
+    """Matrix packed as (bit-length prefix, payload) pairs.
+
+    ``checkpoints`` is an int64 array with one entry per lane.  Lane
+    ``i`` holds the ``stride`` elements from element ``i * stride`` on,
+    in unravel order (the last lane may hold fewer), and
+    ``checkpoints[i]`` is the bit where its first element starts.  The
+    element index follows from the lane, so it is not stored.
+    """
 
     __slots__ = ("rows", "cols", "k", "order", "stride", "data", "checkpoints", "_loaded")
 
@@ -100,7 +107,7 @@ class VlbMatrix:
         order: str,
         stride: int,
         data: BitBuffer,
-        checkpoints: list[tuple[int, int]],
+        checkpoints: np.ndarray,
     ):
         self.rows = rows
         self.cols = cols
@@ -128,9 +135,7 @@ class VlbMatrix:
         data = BitBuffer(int(starts[-1] + sizes[-1]))
         pack_fields(data.words, starts, k, lengths)
         pack_fields(data.words, starts + k, lengths, flat)
-        checkpoints = list(
-            zip(range(0, flat.size, checkpoint_stride), starts[::checkpoint_stride].tolist())
-        )
+        checkpoints = starts[::checkpoint_stride].copy()  # a view would keep ``starts`` alive
         return cls(rows, cols, k, order, checkpoint_stride, data, checkpoints)
 
     @classmethod
@@ -145,9 +150,9 @@ class VlbMatrix:
     ) -> "VlbMatrix":
         """Adopt a raw packed buffer, walking it to rebuild checkpoints.
 
-        The walk only hops prefixes, recording a checkpoint every
-        ``checkpoint_stride`` elements, and stops with CorruptStream if a
-        prefix or the last payload would lie past the end of ``buf``, or
+        The walk only hops prefixes, recording the start bit of each lane
+        of ``checkpoint_stride`` elements, and stops with CorruptStream if
+        a prefix or the last payload would lie past the end of ``buf``, or
         if ``buf`` holds a whole word or a set bit past the stream's end.
         ``buf.bit_len`` is then set to the exact end of the stream, and
         the lane decoder, the one validator, decodes it once: it raises
@@ -162,10 +167,10 @@ class VlbMatrix:
         limit = buf.bit_len
         words = buf.words.tolist()
         n = rows * cols
-        checkpoints = []
+        lane_starts = []  # grown as the walk goes: a forged header may declare any size
         pos = 0
         for base in range(0, n, checkpoint_stride):
-            checkpoints.append((base, pos))
+            lane_starts.append(pos)
             pos = _hop(words, pos, min(checkpoint_stride, n - base), k, limit)
         if pos > limit:
             raise CorruptStream("payload runs past end of stream")
@@ -173,25 +178,27 @@ class VlbMatrix:
             raise CorruptStream("payload longer than the encoded stream")
         buf.bit_len = pos
         buf.check_padding()
+        checkpoints = np.array(lane_starts, dtype=np.int64)
         m = cls(rows, cols, k, order, checkpoint_stride, buf, checkpoints)
         m._loaded = m._decode()
         return m
 
     def get(self, i: int, j: int) -> int:
-        """Decode one element, hopping prefixes from the nearest checkpoint.
+        """Decode one element, hopping prefixes from the start of its lane.
 
-        Hops, prefix and payload all read one list of Python ints: the
-        words from that checkpoint to the next one, plus one.
+        The lane ends where the next lane starts, or at the end of the
+        stream for the last lane.  Hops, prefix and payload all read one
+        list of Python ints: the words of that lane, plus one.
         """
         idx = unravel_index(i, j, self.rows, self.cols, self.order)
+        cps = self.checkpoints
         lane = idx // self.stride
-        base, pos = self.checkpoints[lane]
-        nxt = self.checkpoints[lane + 1 : lane + 2]
-        end = nxt[0][1] if nxt else self.data.bit_len
+        pos = cps.item(lane)
+        end = cps.item(lane + 1) if lane + 1 < cps.size else self.data.bit_len
         w0 = pos >> 6
         words = self.data.words[w0 : (end >> 6) + 2].tolist()
         k = self.k
-        pos = _hop(words, pos & 63, idx - base, k, end - (w0 << 6))
+        pos = _hop(words, pos & 63, idx - lane * self.stride, k, end - (w0 << 6))
         return _read(words, pos + k, _read(words, pos, k))
 
     def values(self) -> np.ndarray:
@@ -216,7 +223,7 @@ class VlbMatrix:
         stride = self.stride
         limit = self.data.bit_len
         words = self.data.words
-        starts = np.array([p for _, p in self.checkpoints], dtype=np.int64)
+        starts = self.checkpoints
         lane_pos = starts.copy()
         lanes = starts.size
         last_len = n - (lanes - 1) * stride  # elements in the last lane

@@ -60,10 +60,10 @@ def scalar_decode(m):
     not the bit-length of the largest prefix.
     """
     data, k, stride = m.data, m.k, m.stride
-    pos = m.checkpoints[0][1]
+    pos = int(m.checkpoints[0])
     values = []
     for i in range(m.rows * m.cols):
-        if i % stride == 0 and pos != m.checkpoints[i // stride][1]:
+        if i % stride == 0 and pos != m.checkpoints[i // stride]:
             raise CorruptStream(f"checkpoint {i // stride} is not where element {i} starts")
         if pos + k > data.bit_len:
             raise CorruptStream(f"prefix of element {i} runs past end of stream")

@@ -113,6 +113,13 @@ def test_container_rejects_prefix_width_above_minimum():
         load_bytes(vlb_container(3, [2 | (3 << 3)]))  # canonical payload, k should be 2
 
 
+def test_vlb_header_declaring_2_to_the_62_elements_fails_in_the_walk():
+    # The checkpoint walk stops at the end of the one-word stream; nothing
+    # is sized by the declared rows * cols first.
+    with pytest.raises(CorruptStream, match="prefix runs past end"):
+        load_bytes(vlb_container(2, [2 | (3 << 2)], rows=2**31, cols=2**31))
+
+
 def test_container_accepts_widened_sm(worked_row):
     wide = SmMatrix.compress(worked_row).widen(64)
     again = load_bytes(dump_bytes(wide))

@@ -103,7 +103,7 @@ def test_sm_from_values_rejects_bad_values():
         SmMatrix.compress([[1, 2]]).widen(65)
 
 
-@pytest.mark.parametrize("stride", [1, 3, 64])
+@pytest.mark.parametrize("stride", [1, 3, 64, 200])
 @pytest.mark.parametrize("offset", [-1, 0, 1, "below"])
 @given(rnd=st.randoms(), top=st.integers(0, U64_MAX))
 @settings(max_examples=25)
@@ -114,11 +114,14 @@ def test_vlb_lanes_match_single_field_path(stride, offset, rnd, top):
     k = bit_length(bit_length(max(values)))
     assert m.data == encode_reference(values, k)
     starts = element_starts(values, k)
-    assert m.checkpoints == [(i, starts[i]) for i in range(0, n, stride)]
+    assert m.checkpoints.tolist() == starts[::stride]
     assert m.values().tolist() == values
     raw = BitBuffer.from_bytes(m.data.to_bytes(), 64 * m.data.word_count)
     again = VlbMatrix.from_buffer(1, n, k, "row", raw, checkpoint_stride=stride)
-    assert again == m and again.checkpoints == m.checkpoints
+    assert again == m and np.array_equal(again.checkpoints, m.checkpoints)
+    for cps in (m.checkpoints, again.checkpoints):  # one int64 start bit per lane, no views
+        assert cps.dtype == np.int64 and cps.base is None
+        assert len(cps) == -(-n // stride)
 
 
 STRIDE = 4
@@ -166,14 +169,14 @@ def test_lane_decoder_rejects_truncated_last_lane():
 )
 def test_lane_decoder_rejects_non_canonical_stream(k, word, bit_len, match):
     buf = BitBuffer.from_bytes(word.to_bytes(8, "little"), bit_len)
-    m = VlbMatrix(1, 1, k, "row", STRIDE, buf, [(0, 0)])
+    m = VlbMatrix(1, 1, k, "row", STRIDE, buf, np.zeros(1, dtype=np.int64))
     with pytest.raises(CorruptStream, match=match):
         m.values()
 
 
 def test_lane_decoder_rejects_lane_hopping_past_the_last_word():
     m = VlbMatrix.compress([[3] * 16], checkpoint_stride=STRIDE)  # 16 x 4 bits: one full word
-    m.checkpoints[-1] = (12, m.checkpoints[-1][1] + 4)  # the last lane starts one element late
+    m.checkpoints[-1] += 4  # the last lane starts one element late
     with pytest.raises(CorruptStream, match="prefix runs past end"):
         m.values()
 
@@ -182,7 +185,7 @@ def test_lane_decoder_rejects_checkpoint_seam_mismatch():
     m, starts = three_lanes()
     # Lane 1 now starts one element late: every element it reads is well
     # formed, but lane 0 no longer ends where lane 1 starts.
-    m.checkpoints[1] = (STRIDE, starts[STRIDE + 1])
+    m.checkpoints[1] = starts[STRIDE + 1]
     with pytest.raises(CorruptStream, match="checkpoint lane"):
         m.values()
 
@@ -227,9 +230,9 @@ def test_decoder_matches_scalar_reference(stride, order, data, edits):
             m.data.words[i >> 6] ^= np.uint64(1 << (i & 63))
         elif kind == "shift":  # move a checkpoint by a few bits or onto another element
             lane = at % len(m.checkpoints)
-            base, pos = m.checkpoints[lane]
+            pos = int(m.checkpoints[lane])
             pos = starts[at % len(starts)] if value & 1 else max(0, pos + value % 128 - 64)
-            m.checkpoints[lane] = (base, pos)
+            m.checkpoints[lane] = pos
         elif bits == 0:
             continue  # nothing left to set or cut
         elif kind == "set":  # a prefix, or an arbitrary field inside the stream
