@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -15,7 +16,7 @@ from .bitstream import U64_MAX
 from .cmatrix import CompressedMatrix
 from .container import load_matrix, save_matrix
 from .efficiency import WORST_CASE_K, measure
-from .errors import CcmatrixError
+from .errors import CcmatrixError, ParseError
 from .genmat import (
     BetaMixture,
     Binomial,
@@ -26,37 +27,50 @@ from .genmat import (
 )
 
 
-def parse_text_matrix(text: str) -> list[list[int]]:
-    """Parse whitespace/comma-separated non-negative integers, one row per line."""
-    from .errors import ParseError
+def parse_text_matrix(text: str) -> np.ndarray:
+    """Parse text into a 2-D uint64 array, one row per non-blank line.
 
-    rows: list[list[int]] = []
-    for ln, line in enumerate(text.splitlines(), 1):
-        fields = line.replace(",", " ").split()
-        if not fields:
-            continue
-        row = []
-        for tok in fields:
-            try:
-                v = int(tok)
-            except ValueError:
-                raise ParseError(f"line {ln}: {tok!r} is not an integer") from None
-            if v < 0 or v > U64_MAX:
-                raise ParseError(f"line {ln}: {v} outside unsigned 64-bit range")
-            row.append(v)
-        rows.append(row)
-    if not rows:
+    Lines split as ``str.splitlines`` does, fields on commas and Unicode
+    whitespace.  A field is anything ``int()`` accepts (``+3``, ``1_000``,
+    non-ASCII digits) in 0..2**64 - 1; else, or for ragged or no rows,
+    ParseError."""
+    lines = text.splitlines()
+    widths: list[int] = []
+
+    def rows():
+        for line in lines:
+            row = line.replace(",", " ").split()
+            if row:
+                widths.append(len(row))
+                yield row
+
+    try:
+        flat = np.fromiter(map(int, chain.from_iterable(rows())), np.uint64)
+    except (ValueError, OverflowError):
+        # rescan in line order only to name the first bad field
+        for ln, line in enumerate(lines, 1):
+            for tok in line.replace(",", " ").split():
+                try:
+                    v = int(tok)
+                except ValueError:
+                    raise ParseError(f"line {ln}: {tok!r} is not an integer") from None
+                if not 0 <= v <= U64_MAX:
+                    raise ParseError(f"line {ln}: {v} outside unsigned 64-bit range") from None
+        raise
+    if not widths:
         raise ParseError("input contains no matrix rows")
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ParseError(f"row {i + 1} has {len(row)} fields, expected {width}")
-    return rows
+    for i, n in enumerate(widths):
+        if n != widths[0]:
+            raise ParseError(f"row {i + 1} has {n} fields, expected {widths[0]}")
+    return flat.reshape(len(widths), widths[0])
 
 
 def format_text_matrix(dense) -> str:
-    rows = dense.tolist() if isinstance(dense, np.ndarray) else dense
-    return "\n".join(" ".join(map(str, row)) for row in rows) + "\n"
+    """Format a 2-D array or nested sequences of non-negative ints as a str:
+    per row, decimal values joined by single spaces, ended by a newline."""
+    rows = dense if isinstance(dense, np.ndarray) else np.asarray(dense, dtype=object)
+    line = " ".join(["%d"] * rows.shape[1]) + "\n"
+    return "".join([line % tuple(row.tolist()) for row in rows])
 
 
 def _print_report(m: CompressedMatrix, show_histogram: bool = False) -> None:

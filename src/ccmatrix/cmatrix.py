@@ -98,16 +98,18 @@ class CompressedMatrix:
     def matmul(self, other: "CompressedMatrix") -> "CompressedMatrix":
         """Matrix product with checked 64-bit unsigned accumulation.
 
-        The product is computed exactly in Python ints.  The operands are
-        non-negative, so a cell fits in 64 bits exactly when every product
-        and partial sum behind it does; the first cell that does not, in
-        row-major order, is rescanned to report which one overflowed.
+        The operands are non-negative: if max(a) * max(b) * inner fits in
+        64 bits, uint64 ``@`` is exact.  Otherwise the product is exact in
+        Python ints, and the first cell past 64 bits, in row-major order,
+        is rescanned to report which product or partial sum overflowed.
         """
         if self.cols != other.rows:
             raise ShapeMismatch(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
         a, b = self.decompress(), other.decompress()
+        if int(a.max()) * int(b.max()) * self.cols <= U64_MAX:
+            return CompressedMatrix.compress(a @ b)
         out = a.astype(object) @ b.astype(object)
         over = np.flatnonzero(out > U64_MAX)
         if over.size:

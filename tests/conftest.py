@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ccmatrix.bitstream import WORD_BITS, BitBuffer, bit_length
-from ccmatrix.errors import CorruptStream
+from ccmatrix.bitstream import U64_MAX, WORD_BITS, BitBuffer, bit_length
+from ccmatrix.errors import CorruptStream, ParseError
 
 # First row of the worked example used throughout the docs and tests.
 WORKED_ROW = [900, 1023, 721, 256, 1, 10, 700, 20]
@@ -80,6 +80,32 @@ def scalar_decode(m):
     if k != bit_length(max(bit_length(v) for v in values)):
         raise CorruptStream(f"prefix width {k} is not minimal")
     return values
+
+
+def reference_parse_text_matrix(text):
+    """Reference text parser: one ``int()`` and range check per field into lists."""
+    rows = []
+    for ln, line in enumerate(text.splitlines(), 1):
+        fields = line.replace(",", " ").split()
+        if not fields:
+            continue
+        row = []
+        for tok in fields:
+            try:
+                v = int(tok)
+            except ValueError:
+                raise ParseError(f"line {ln}: {tok!r} is not an integer") from None
+            if v < 0 or v > U64_MAX:
+                raise ParseError(f"line {ln}: {v} outside unsigned 64-bit range")
+            row.append(v)
+        rows.append(row)
+    if not rows:
+        raise ParseError("input contains no matrix rows")
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ParseError(f"row {i + 1} has {len(row)} fields, expected {width}")
+    return rows
 
 
 def count_calls(monkeypatch, cls, name):

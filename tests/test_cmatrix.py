@@ -256,6 +256,33 @@ def test_matmul_overflow_matches_scalar_reference(rng):
     assert seen == {None, "product", "sum"}  # both messages and clean products occur
 
 
+# U64_MAX = 3 * 14002645 * 439125228929, so a 1x3 @ 3x1 product of these
+# values reaches the unsigned range exactly.
+BOUND_X, BOUND_Y = 14002645, 439125228929
+
+
+@pytest.mark.parametrize("a, b", [
+    ([[BOUND_X] * 3], [[BOUND_Y]] * 3),  # max * max * inner == U64_MAX: uint64 path
+    ([[BOUND_X] * 3] * 2, [[BOUND_Y, 1]] * 3),
+    ([[BOUND_X + 1, 0, 0]], [[BOUND_Y]] * 3),  # one past the bound, but the cell fits
+    ([[BOUND_X + 1, BOUND_X, BOUND_X]], [[BOUND_Y]] * 3),  # one past: the sum overflows
+    ([[BOUND_X + 1] * 3], [[BOUND_Y]] * 3),
+    ([[2**32, 0, 0]], [[2**32], [0], [0]]),  # the product overflows
+])
+def test_matmul_at_the_uint64_bound_matches_the_reference(a, b):
+    assert BOUND_X * BOUND_Y * 3 == U64_MAX
+    expected = reference_matmul_overflow(a, b)
+    for method in ("sm", "vlb"):
+        ca = CompressedMatrix.compress(a, method=method)
+        cb = CompressedMatrix.compress(b, method=method, order="col")
+        if expected is None:
+            assert ca.matmul(cb).decompress().tolist() == dense_matmul(a, b)
+            continue
+        with pytest.raises(ArithmeticOverflow) as err:
+            ca.matmul(cb)
+        assert (type(err.value), str(err.value)) == expected
+
+
 def test_works_on_numpy_uint64_inputs(rng):
     dense = rng.integers(0, 2**60, size=(5, 5), dtype=np.uint64)
     m = CompressedMatrix.compress(dense, method="vlb")

@@ -2,14 +2,17 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ccmatrix import cli
 from ccmatrix.cli import format_text_matrix, main, parse_text_matrix
+from ccmatrix._dense import dense_to_flat
 from ccmatrix.cmatrix import CompressedMatrix
 from ccmatrix.container import dump_bytes, load_bytes, load_matrix, save_matrix
 from ccmatrix.efficiency import eta2, measure
@@ -18,7 +21,7 @@ from ccmatrix.genmat import Uniform, sample_matrix
 from ccmatrix.sm import SmMatrix
 from ccmatrix.vlb import VlbMatrix
 
-from conftest import WORKED_ROW, count_calls
+from conftest import WORKED_ROW, count_calls, reference_parse_text_matrix
 
 
 def random_matrix(seed, rows=6, cols=5, top=32):
@@ -190,7 +193,7 @@ def test_loader_fuzz_only_ccmatrix_errors(seed, shape, top, method, order, edits
 
 def test_parse_accepts_commas_whitespace_blank_lines():
     text = "1, 2 3\n\n  4,5 ,6\n"
-    assert parse_text_matrix(text) == [[1, 2, 3], [4, 5, 6]]
+    assert parse_text_matrix(text).tolist() == [[1, 2, 3], [4, 5, 6]]
 
 
 def test_parse_rejects_garbage():
@@ -207,7 +210,109 @@ def test_parse_rejects_garbage():
 
 
 def test_format_parse_roundtrip(worked_row):
-    assert parse_text_matrix(format_text_matrix(worked_row)) == worked_row
+    assert parse_text_matrix(format_text_matrix(worked_row)).tolist() == worked_row
+
+
+def parsed_or_rejected(parse, text):
+    try:
+        out = parse(text)
+    except ParseError as exc:
+        return str(exc)
+    return out.tolist() if isinstance(out, np.ndarray) else out
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+# separators inside a line, and line boundaries of str.splitlines
+FIELD_SEPS = [" ", ",", "\t", " , ", "\u2003", "\x1c", "\x1f", "\u3000"]
+LINE_SEPS = ["\n", "\r\n", "\r", "\u2028", "\x85", "\x0b", "\x1c", "\n\n"]
+valid_fields = st.one_of(
+    st.integers(0, 2**64 - 1).map(str),
+    st.integers(0, 999).map(lambda v: f"+{v}"),
+    st.integers(1_000, 10**9).map(lambda v: f"{v:_}"),
+    st.integers(0, 2**64 - 1).map(lambda v: str(v).translate(ARABIC_INDIC)),
+)
+any_fields = st.one_of(
+    valid_fields,
+    st.sampled_from(["-4", "-0", str(2**64), str(2**64 - 1), "0", "00", "x", "1.5", "0x10", "_1", "1__0"]),
+    st.integers(2**64, 2**80).map(str),
+    st.integers(4_290, 4_310).map(lambda n: "1" * n),
+    st.text(alphabet="0123456789+-_ ,x\u0663", max_size=4),
+)
+
+
+@st.composite
+def text_matrices(draw):
+    if draw(st.booleans()):  # anything at all from a small alphabet
+        return draw(st.text(alphabet="0129+-_, \t\n\r\x1c\u2003\u2028\u0661x", max_size=40))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    ragged = draw(st.booleans())
+    fields = draw(st.sampled_from([valid_fields, any_fields]))
+    lines = []
+    for _ in range(rows):
+        width = draw(st.integers(0, cols + 1)) if ragged else cols
+        toks = draw(st.lists(fields, min_size=width, max_size=width))
+        lines.append(draw(st.sampled_from(FIELD_SEPS)).join(toks))
+    line_sep = st.sampled_from(LINE_SEPS)
+    text = "".join(line + draw(line_sep) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+@given(text_matrices())
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_parse_matches_reference_parser(text):
+    want = parsed_or_rejected(reference_parse_text_matrix, text)
+    assert parsed_or_rejected(parse_text_matrix, text) == want
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n\n", " , \n", "+3 1_000\n", "\u0663 4\u20035\n", "1\x1c2\n", "1\u20282\n",
+    "-4\n", f"{2**64}\n", f"{2**64 - 1}\n", "1 2\n3\n", "1 2\n3 x\n", "x\n-1\n",
+    pytest.param("1\n" + "9" * 4301 + "\n", id="4301-digit-field"), "1 2\n\n3 4 5\n", "1 2\n3 -1 4\n",
+])
+def test_parse_matches_reference_parser_on_edge_cases(text):
+    assert parsed_or_rejected(parse_text_matrix, text) == parsed_or_rejected(
+        reference_parse_text_matrix, text
+    )
+
+
+def test_parse_returns_a_uint64_matrix():
+    out = parse_text_matrix(f"0 {2**64 - 1}\n7 8\n")
+    assert out.dtype == np.uint64 and out.shape == (2, 2)
+    assert out.tolist() == [[0, 2**64 - 1], [7, 8]]
+
+
+def test_decompress_bytes_at_the_ends_of_the_range(tmp_path, capsys):
+    text = f"0 {2**64 - 1} 0\n{2**64 - 1} 0 {2**64 - 1}\n"
+    src, back = tmp_path / "e.txt", tmp_path / "e2.txt"
+    src.write_text(text)
+    for method in ("sm", "vlb"):
+        box = tmp_path / f"e.{method}"
+        assert main(["compress", str(src), str(box), "--method", method]) == 0
+        assert main(["decompress", str(box), str(back)]) == 0
+        assert back.read_bytes() == text.encode()
+    capsys.readouterr()
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_text_io_memory_is_bounded():
+    # the shape and distribution of the store benchmark
+    dense = sample_matrix(Uniform(1, 40), 250, 250, 7)
+    text = format_text_matrix(dense)
+    (_, _, flat), peak = traced_peak(lambda t: dense_to_flat(parse_text_matrix(t), "row"), text)
+    assert flat.tolist() == dense.ravel().tolist()
+    assert peak <= 2 * 2**20
+    out, peak = traced_peak(format_text_matrix, dense)
+    assert out == text
+    assert peak <= 1.5 * 2**20
 
 
 # -- CLI -----------------------------------------------------------------
@@ -287,7 +392,7 @@ def test_cli_fuzz_roundtrips(tmp_path, capsys):
         method = "vlb" if seed % 2 else "sm"
         assert main(["compress", str(src), str(box), "--method", method]) == 0
         assert main(["decompress", str(box), str(back)]) == 0
-        assert parse_text_matrix(back.read_text()) == dense.tolist()
+        assert parse_text_matrix(back.read_text()).tolist() == dense.tolist()
     capsys.readouterr()
 
 
