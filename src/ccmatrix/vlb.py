@@ -12,17 +12,28 @@ one lane per checkpoint, lengths before payloads as in Stream VByte
 (Lemire, Kurz & Rupp): all lanes hop one element per vectorised step, reading
 prefixes only (``stride`` steps whatever the matrix size), and then one
 pass over groups of whole lanes extracts and checks every payload.  Each
-lane must end exactly where the next one starts.  One prefix walker,
-``_hop``, serves both ``get`` and the checkpoint rebuild in
-``from_buffer``, over the words of one lane or of the whole stream.
+lane must end exactly where the next one starts.
+
+Two prefix walkers hop the stream.  ``get`` hops one lane with ``_hop``,
+which shifts and masks the words of that lane.  ``from_buffer`` rebuilds
+the checkpoints with ``_walk``, which hops the whole stream through a
+table indexed by bit position, as table-driven decoders of prefix codes
+do (Moffat & Turpin, "On the Implementation of Minimum Redundancy Prefix
+Codes", 1997): the table is built a block at a time, so each hop is one
+byte lookup.  A table costs more to build than the hops of one ``get``
+save, so ``get`` keeps ``_hop``; ``_walk`` also falls back on ``_hop``
+for a lane that runs past the stream, to raise its error.
 
 The lane decoder is also the one stream validator.  ``from_buffer``
-hops prefixes to rebuild the checkpoints, rejects words or set bits
+walks prefixes to rebuild the checkpoints, rejects words or set bits
 past the stream's end and decodes once; the decoder rejects every
 stream that is not the canonical encoding of its elements.
 """
 
 from __future__ import annotations
+
+from array import array
+from itertools import repeat
 
 import numpy as np
 
@@ -39,6 +50,7 @@ from .errors import CorruptStream
 
 DEFAULT_CHECKPOINT_STRIDE = 64
 _GROUP = 4096  # elements per extract pass: its temporaries stay under malloc's mmap threshold
+_BLOCK = 1 << 17  # lane-start bits per hop table: a table is about 137 KiB at stride 64
 
 
 def _hop(words: list[int], pos: int, count: int, k: int, limit: int) -> int:
@@ -49,6 +61,8 @@ def _hop(words: list[int], pos: int, count: int, k: int, limit: int) -> int:
     bit where the next element starts.  Raises CorruptStream if a prefix
     would run past bit ``limit``; ``words`` must hold at least ``limit``
     bits, so a prefix that straddles two words always has its second word.
+    ``get`` hops one lane with it, and ``_walk`` hops the lanes that its
+    table cannot.
     """
     kmask = (1 << k) - 1
     split = WORD_BITS - k  # prefixes starting past this offset straddle
@@ -62,6 +76,73 @@ def _hop(words: list[int], pos: int, count: int, k: int, limit: int) -> int:
             b |= words[(pos >> 6) + 1] << (WORD_BITS - off)
         pos += k + (b & kmask)
     return pos
+
+
+def _hop_table(words: np.ndarray, base: int, size: int, k: int) -> bytearray:
+    """``P[q]`` = ``k`` + the ``k``-bit field at bit ``base + q``, for ``q < size``.
+
+    That is the number of bits from an element starting at ``base + q`` to
+    the next.  ``base`` is a multiple of 8.  Eight shift passes, one per bit
+    offset, cut the fields out of the 16-bit windows starting at each
+    stream byte (``k + 7 <= 14`` bits fit); bits past ``words`` read as 0.
+    """
+    nb = -(-size // 8)  # table bytes per bit offset
+    w0 = base >> 6
+    src = words[w0 : w0 + nb // 8 + 3].astype("<u8", copy=False).view(np.uint8)
+    src = src[(base >> 3) & 7 :][: nb + 1]
+    win = np.zeros(nb + 1, dtype=np.uint16)
+    win[: src.size] = src
+    win[:-1] |= win[1:] << 8
+    table = bytearray(8 * nb)
+    p = np.frombuffer(table, dtype=np.uint8).reshape(nb, 8)
+    for r in range(8):
+        p[:, r] = win[:-1] >> r  # the low byte holds the field
+    p &= (1 << k) - 1
+    p += k
+    return table
+
+
+def _walk(buf: BitBuffer, n: int, k: int, stride: int) -> tuple[array, int]:
+    """Hop the prefixes of ``n`` elements from bit 0 of ``buf``.
+
+    Returns the start bit of each lane of ``stride`` elements, as a
+    compact ``array('q')`` (a forged header may declare any size), and the
+    bit where the stream ends.  Each lane runs ``q += P[q]`` per element
+    through a :func:`_hop_table` ``P`` that covers ``_BLOCK`` bits of lane
+    starts plus the most bits one lane can hop.  It is rebuilt at the first
+    lane that starts past that span, so no hop indexes past it or needs a
+    test.  A lane that ends past ``buf.bit_len`` may have read past the
+    stream, so ``_hop`` walks it and every later lane again, and raises
+    CorruptStream where a prefix runs past the end; ``_hop`` also walks
+    every lane when one lane can hop more bits than a block holds.
+    CorruptStream is raised, too, if the last payload runs past the end.
+    """
+    limit = buf.bit_len
+    reach = min(stride, n) * (k + (1 << k) - 1)  # the most bits one lane can hop
+    starts = array("q")
+    pos = base = span = first = 0
+    table = b""
+    while reach <= _BLOCK and first < n:
+        q = pos - base
+        if q >= span:
+            base, q = pos & ~7, pos & 7
+            span = min(_BLOCK, limit + 1 - base)  # no valid lane starts past bit ``limit``
+            table = _hop_table(buf.words, base, span + reach, k)
+        for _ in repeat(None, min(stride, n - first)):
+            q += table[q]
+        if base + q > limit:
+            break  # the lane read past the stream: ``_hop`` walks it again below
+        starts.append(pos)
+        pos = base + q
+        first += stride
+    if first < n:
+        words = buf.words.tolist()
+        for first in range(first, n, stride):
+            starts.append(pos)
+            pos = _hop(words, pos, min(stride, n - first), k, limit)
+    if pos > limit:
+        raise CorruptStream("payload runs past end of stream")
+    return starts, pos
 
 
 def _read(words: list[int], pos: int, width: int) -> int:
@@ -150,35 +231,29 @@ class VlbMatrix:
     ) -> "VlbMatrix":
         """Adopt a raw packed buffer, walking it to rebuild checkpoints.
 
-        The walk only hops prefixes, recording the start bit of each lane
-        of ``checkpoint_stride`` elements, and stops with CorruptStream if
-        a prefix or the last payload would lie past the end of ``buf``, or
-        if ``buf`` holds a whole word or a set bit past the stream's end.
+        The walk (:func:`_walk`) only hops prefixes, through a table read
+        one byte per hop, recording the start bit of each lane of
+        ``checkpoint_stride`` elements, and stops with CorruptStream if a
+        prefix or the last payload would lie past the end of ``buf``.  So
+        does a whole word or a set bit in ``buf`` past the stream's end.
         ``buf.bit_len`` is then set to the exact end of the stream, and
         the lane decoder, the one validator, decodes it once: it raises
         CorruptStream if the stream is not decodable or not canonical,
         so a loaded matrix is bit-identical to compressing its own
-        elements.  The decoded elements stay on the matrix until the
+        elements.  The walk's table and lane starts are released before
+        the decode.  The decoded elements stay on the matrix until the
         first :meth:`values` call takes them, so loading and then
         decoding a stream decodes it once.
         """
         if checkpoint_stride < 1:
             raise ValueError("checkpoint_stride must be >= 1")
-        limit = buf.bit_len
-        words = buf.words.tolist()
-        n = rows * cols
-        lane_starts = []  # grown as the walk goes: a forged header may declare any size
-        pos = 0
-        for base in range(0, n, checkpoint_stride):
-            lane_starts.append(pos)
-            pos = _hop(words, pos, min(checkpoint_stride, n - base), k, limit)
-        if pos > limit:
-            raise CorruptStream("payload runs past end of stream")
+        starts, pos = _walk(buf, rows * cols, k, checkpoint_stride)
         if buf.words.size != -(-pos // WORD_BITS) + 1:
             raise CorruptStream("payload longer than the encoded stream")
         buf.bit_len = pos
         buf.check_padding()
-        checkpoints = np.array(lane_starts, dtype=np.int64)
+        checkpoints = np.array(starts, dtype=np.int64)
+        del starts
         m = cls(rows, cols, k, order, checkpoint_stride, buf, checkpoints)
         m._loaded = m._decode()
         return m

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ccmatrix import cli
+from ccmatrix import cli, vlb
 from ccmatrix.cli import format_text_matrix, main, parse_text_matrix
 from ccmatrix._dense import dense_to_flat
 from ccmatrix.cmatrix import CompressedMatrix
@@ -121,6 +121,41 @@ def test_vlb_header_declaring_2_to_the_62_elements_fails_in_the_walk():
     # is sized by the declared rows * cols first.
     with pytest.raises(CorruptStream, match="prefix runs past end"):
         load_bytes(vlb_container(2, [2 | (3 << 2)], rows=2**31, cols=2**31))
+
+
+@pytest.mark.parametrize(
+    "rows, cols, match",
+    [
+        (1, 64, "payload longer than the encoded stream"),
+        (1, 2016, "length prefix 127 exceeds 64 bits"),  # 2016 hops of 134 bits end the stream
+        (2016, 2016, "prefix runs past end"),
+        (2**31, 2**31, "prefix runs past end"),
+    ],
+)
+def test_vlb_container_of_127_prefixes_is_rejected_as_corrupt(rows, cols, match):
+    # Every 7-bit field reads 127, so every hop is the longest a table lane
+    # allows, across 4,221 words: the checkpoint walk rebuilds its table.
+    with pytest.raises(CorruptStream, match=match):
+        load_bytes(vlb_container(7, [2**64 - 1] * 4221, rows=rows, cols=cols))
+
+
+def test_loading_hops_with_the_table_until_a_lane_runs_past_the_stream(monkeypatch):
+    dense = random_matrix(6, rows=250, cols=250, top=64)
+    m = CompressedMatrix.compress(dense, method="vlb").inner
+    hops = count_calls(monkeypatch, vlb, "_hop")
+    assert load_bytes(dump_bytes(m)).inner == m
+    assert hops == []
+    cps = m.checkpoints.tolist()
+    j = 100
+    words = cps[j] // 64 + 1  # the stream now ends inside lane j
+    assert cps[j + 1] > 64 * words
+    with pytest.raises(CorruptStream, match="prefix runs past end"):
+        load_bytes(vlb_container(m.k, m.data.words[:words].tolist(), rows=250, cols=250))
+    assert hops[0][1] == cps[j]  # (words, pos, count, k, limit) of each call
+    assert all(pos >= cps[j] for _, pos, *_ in hops)
+    hops.clear()
+    assert m.get(3, 4) == dense[3, 4]
+    assert len(hops) == 1
 
 
 def test_container_accepts_widened_sm(worked_row):

@@ -4,6 +4,7 @@ The reference throughout is the single-field path,
 ``BitBuffer.write_field``/``read_field``, one field at a time.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,9 +24,9 @@ from ccmatrix.bitstream import (
 from ccmatrix.errors import CorruptStream, FieldOverflow
 from ccmatrix.genmat import Uniform, sample_matrix
 from ccmatrix.sm import SmMatrix
-from ccmatrix.vlb import VlbMatrix
+from ccmatrix.vlb import _BLOCK, VlbMatrix, _walk
 
-from conftest import element_starts, encode_reference, scalar_decode
+from conftest import element_starts, encode_reference, reference_walk, scalar_decode
 
 # (gap before the field, width, value): gaps up to 63 put fields at every offset
 field = st.tuples(st.integers(0, 63), st.integers(1, 64)).flatmap(
@@ -260,3 +261,99 @@ def test_decode_memory_beyond_its_output_is_bounded(side):
         tracemalloc.stop()
     assert out.tolist() == dense.ravel().tolist()
     assert peak - out.nbytes <= 384 * 1024
+
+
+@pytest.mark.parametrize("side", [100, 250, 500])
+def test_from_buffer_memory_beyond_its_output_is_bounded(side):
+    dense = sample_matrix(Uniform(1, 64), side, side, 7)
+    m = VlbMatrix.compress(dense)
+    raw = BitBuffer.from_bytes(m.data.to_bytes(), 64 * m.data.word_count)
+    tracemalloc.start()
+    try:
+        again = VlbMatrix.from_buffer(side, side, m.k, "row", raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = again.values()
+    assert again == m and out.tolist() == dense.ravel().tolist()
+    assert peak - out.nbytes - again.checkpoints.nbytes <= 384 * 1024
+
+
+def walked_or_rejected(walk, buf, n, k, stride):
+    try:
+        starts, end = walk(buf, n, k, stride)
+    except CorruptStream as exc:
+        return str(exc)
+    return list(starts), end
+
+
+WALK_STREAMS = {
+    "uniform-1-64": lambda: sample_matrix(Uniform(1, 64), 9, 23, 1),
+    "uniform-1-8": lambda: sample_matrix(Uniform(1, 8), 9, 23, 2),
+    "equal-lengths": lambda: sample_matrix(Uniform(40, 40), 9, 23, 3),
+    "all-ones": lambda: np.ones((9, 23), dtype=np.uint64),
+    "three-blocks": lambda: sample_matrix(Uniform(1, 64), 100, 100, 4),  # table rebuilt twice
+}
+
+
+def walk_input(m, starts, kind, e):
+    """The stream of ``m`` as ``from_buffer`` receives it, corrupted at element ``e``."""
+    k, blob = m.k, m.data.to_bytes()
+    if kind == "trailing-word":
+        blob += bytes(8)
+    buf = BitBuffer.from_bytes(blob, 8 * len(blob))
+    at = starts[e]
+    size = (starts + [m.bits_used])[e + 1] - at  # prefix and payload bits
+    if kind == "zero-prefix":
+        buf.write_field(at, k, 0)
+    elif kind == "max-prefixes":  # 2**k - 1 where element e and the next 7 started
+        for p in starts[e : e + 8]:
+            buf.write_field(p, k, (1 << k) - 1)
+    elif kind == "cut-mid-prefix":
+        buf.bit_len = at + k // 2
+    elif kind == "cut-mid-payload":
+        buf.bit_len = at + k + (size - k - 1) // 2
+    return buf
+
+
+# at stride 1000 a k = 7 lane can hop past one table block, so _hop walks every lane
+@pytest.mark.parametrize("stride", [1, 3, 64, 200, 1000])
+@pytest.mark.parametrize("stream", sorted(WALK_STREAMS))
+@pytest.mark.parametrize(
+    "kind",
+    ["none", "zero-prefix", "max-prefixes", "cut-mid-prefix", "cut-mid-payload", "trailing-word"],
+)
+def test_walk_matches_reference_walk(stride, stream, kind):
+    dense = WALK_STREAMS[stream]()
+    rows, cols = dense.shape
+    n = dense.size
+    m = VlbMatrix.compress(dense, checkpoint_stride=stride)
+    if stream == "three-blocks":
+        assert m.bits_used > 2 * _BLOCK
+    starts = element_starts(dense.ravel().tolist(), m.k)
+    for e in (0, n // 2, n - 1):
+        want = walked_or_rejected(reference_walk, walk_input(m, starts, kind, e), n, m.k, stride)
+        got = walked_or_rejected(_walk, walk_input(m, starts, kind, e), n, m.k, stride)
+        assert got == want, e
+        if kind in ("none", "trailing-word"):
+            assert want == (m.checkpoints.tolist(), m.bits_used)
+        if isinstance(want, str):  # from_buffer raises the walk's error, as it did
+            buf = walk_input(m, starts, kind, e)
+            with pytest.raises(CorruptStream, match=re.escape(want)):
+                VlbMatrix.from_buffer(rows, cols, m.k, "row", buf, checkpoint_stride=stride)
+
+
+@pytest.mark.parametrize("stride", [1, 3, 64, 200])
+@given(data=st.data(), flips=st.lists(st.integers(0, 2**16), max_size=4), cut=st.integers(0, 2**16))
+@settings(max_examples=40)
+def test_walk_matches_reference_walk_on_random_edits(stride, data, flips, cut):
+    m, _ = random_vlb(data, stride, "row")
+    n = m.rows * m.cols
+    buf = BitBuffer.from_bytes(m.data.to_bytes(), 64 * m.data.word_count)
+    for i in flips:
+        i %= buf.bit_len
+        buf.words[i >> 6] ^= np.uint64(1 << (i & 63))
+    if cut & 1:
+        buf.bit_len -= (cut >> 1) % (buf.bit_len + 1)
+    want = walked_or_rejected(reference_walk, buf, n, m.k, stride)
+    assert walked_or_rejected(_walk, buf, n, m.k, stride) == want
