@@ -30,15 +30,16 @@ print(f"  fixed-width: {SmMatrix.compress(spread).bits_used} bits")
 print(f"  prefixed:    {VlbMatrix.compress(spread).bits_used} bits")
 
 print()
-print("=== seekable access via checkpoints ===")
+print("=== seekable access via a two-level directory ===")
 big = np.random.default_rng(1).integers(0, 2**20, size=(40, 40), dtype=np.uint64)
 c = VlbMatrix.compress(big, checkpoint_stride=16)
-print(f"{len(c.checkpoints)} checkpoints every 16 elements")
-print(f"index: {c.checkpoints.nbytes} bytes (8 per lane) beside {c.data.words.nbytes} bytes of words")
+print(f"{len(c.checkpoints)} checkpoints every 16 elements: {c.checkpoints.nbytes} bytes")
+print(f"{len(c.offsets)} {c.offsets.dtype} offsets every {c.sub} elements: {c.offsets.nbytes} bytes")
+print(f"beside {c.data.words.nbytes} bytes of words; containers store neither level")
 print(f"get(31, 17) = {c.get(31, 17)} == dense value {big[31, 17]}")
 
 print()
-print("=== values() decodes one lane per checkpoint and roundtrips losslessly ===")
+print("=== values() decodes one sub-lane per offset and roundtrips losslessly ===")
 decoded = m.values().tolist()
 print("decoded:", decoded)
 print("roundtrip exact:", (m.decompress() == np.array(row, dtype=np.uint64)).all())

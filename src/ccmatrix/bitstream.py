@@ -85,11 +85,21 @@ def unpack_fields(words: np.ndarray, pos, width) -> np.ndarray:
 
     ``words`` is a uint64 array with one zero pad word after the stream,
     so a field in the last word can read its (empty) successor.  Callers
-    check that every field lies inside the stream.
+    check that every field lies inside the stream.  Temporaries are
+    shifted in place, so at most four arrays the size of ``pos`` are alive.
     """
     w, off = _split(pos)
-    hi = words[w + 1] << (63 - off) << 1  # never a shift by 64; off 0 adds nothing
-    return (words[w] >> off | hi) & _masks(width)
+    out = words[w]
+    out >>= off
+    w += 1
+    hi = words[w]
+    off ^= 63  # 63 - off
+    hi <<= off
+    hi <<= 1  # never a shift by 64; off 0 adds nothing
+    out |= hi
+    del w, off, hi  # freed before the masks are built
+    out &= _masks(width)
+    return out
 
 
 class BitBuffer:

@@ -74,7 +74,7 @@ def load_bytes(blob: bytes) -> CompressedMatrix:
         raise BadMagic(f"invalid method/order codes ({method}, {order})")
     if rows < 1 or cols < 1:
         raise BadMagic("rows and cols must be >= 1")
-    payload = blob[_HEADER.size :]
+    payload = memoryview(blob)[_HEADER.size :]  # no copy: BitBuffer.from_bytes copies the words
     if len(payload) < 8 * word_count:
         raise TruncatedPayload(
             f"payload holds {len(payload)} bytes, header declares {8 * word_count}"

@@ -5,17 +5,22 @@ followed by a payload of that many bits.  ``k`` is the bit-length of the
 bit-length of the largest element, so it never exceeds 7 for 64-bit data.
 
 Prefixes interleaved with payloads make one stream serial: where an
-element starts depends on every prefix before it.  Checkpoints recorded
-every ``stride`` elements therefore serve twice.  Random access hops
-prefixes from the start of the element's lane, and bulk decoding runs
-one lane per checkpoint, lengths before payloads as in Stream VByte
-(Lemire, Kurz & Rupp): all lanes hop one element per vectorised step, reading
-prefixes only (``stride`` steps whatever the matrix size), and then one
-pass over groups of whole lanes extracts and checks every payload.  Each
-lane must end exactly where the next one starts.
+element starts depends on every prefix before it.  So a two-level
+directory, as in rank/select indexes (Vigna, "Broadword Implementation
+of Rank/Select Queries", 2008), records where elements start: an int64
+checkpoint per lane of ``stride`` elements, and a narrow offset from
+that checkpoint per sub-lane of ``gcd(stride, 8)`` elements.  Neither
+level is stored in a container.  The directory serves twice.  Random
+access hops fewer than 8 prefixes from the start of the element's
+sub-lane, and bulk decoding runs one sub-lane per directory entry,
+lengths before payloads as in Stream VByte (Lemire, Kurz & Rupp): the
+sub-lanes of a block hop one element per vectorised step, reading
+prefixes only (8 steps per block whatever the matrix size), and then one
+pass over groups of whole sub-lanes extracts and checks every payload.
+Each sub-lane must end exactly where the next one starts.
 
-Two prefix walkers hop the stream.  ``get`` hops one lane with ``_hop``,
-which shifts and masks the words of that lane.  ``from_buffer`` rebuilds
+Two prefix walkers hop the stream.  ``get`` hops one sub-lane with ``_hop``,
+which shifts and masks the words of that sub-lane.  ``from_buffer`` rebuilds
 the checkpoints with ``_walk``, which hops the whole stream through a
 table indexed by bit position, as table-driven decoders of prefix codes
 do (Moffat & Turpin, "On the Implementation of Minimum Redundancy Prefix
@@ -26,7 +31,8 @@ for a lane that runs past the stream, to raise its error.
 
 The lane decoder is also the one stream validator.  ``from_buffer``
 walks prefixes to rebuild the checkpoints, rejects words or set bits
-past the stream's end and decodes once; the decoder rejects every
+past the stream's end and decodes once over whole lanes, filling the
+offsets from the element starts it finds; the decoder rejects every
 stream that is not the canonical encoding of its elements.
 """
 
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import repeat
+from math import gcd
 
 import numpy as np
 
@@ -49,7 +56,8 @@ from .bitstream import (
 from .errors import CorruptStream
 
 DEFAULT_CHECKPOINT_STRIDE = 64
-_GROUP = 4096  # elements per extract pass: its temporaries stay under malloc's mmap threshold
+_SUBLANE = 8  # elements per sub-lane at most: ``get`` hops fewer prefixes than this
+_GROUP = 4096  # elements per extract pass, and lanes per decode block, keep temporaries small
 _BLOCK = 1 << 17  # lane-start bits per hop table: a table is about 137 KiB at stride 64
 
 
@@ -151,6 +159,15 @@ def _read(words: list[int], pos: int, width: int) -> int:
     return ((words[w] | words[w + 1] << WORD_BITS) >> (pos & 63)) & ((1 << width) - 1)
 
 
+def _offset_dtype(stride: int) -> np.dtype:
+    """The smallest unsigned dtype for offsets inside a lane of ``stride`` elements.
+
+    An element holds at most a 7-bit prefix and a 64-bit payload, so the
+    last element of a lane starts at most ``(stride - 1) * 71`` bits in.
+    """
+    return np.min_scalar_type((stride - 1) * (7 + WORD_BITS))
+
+
 def _corrupt(pos: np.ndarray, b: np.ndarray, k: int, limit: int, v=None) -> CorruptStream:
     """CorruptStream for the first bad element; ``v`` holds the payloads, once read."""
     top = (b - 1).view(np.uint64)
@@ -174,11 +191,20 @@ class VlbMatrix:
     ``checkpoints`` is an int64 array with one entry per lane.  Lane
     ``i`` holds the ``stride`` elements from element ``i * stride`` on,
     in unravel order (the last lane may hold fewer), and
-    ``checkpoints[i]`` is the bit where its first element starts.  The
-    element index follows from the lane, so it is not stored.
+    ``checkpoints[i]`` is the bit where its first element starts.
+    ``offsets`` holds one entry per sub-lane of ``sub = gcd(stride, 8)``
+    elements: sub-lane ``s`` starts ``offsets[s]`` bits after the
+    checkpoint of its lane, so the sub-lane at a lane's start holds 0.
+    Its dtype is the smallest unsigned type that holds
+    ``(stride - 1) * 71``, the most bits a lane can hold before its last
+    element: uint16 at the default stride.  Element indexes follow from
+    the lane and sub-lane, so they are not stored.  A matrix built
+    without ``offsets`` gets them from its first decode.
     """
 
-    __slots__ = ("rows", "cols", "k", "order", "stride", "data", "checkpoints", "_loaded")
+    __slots__ = (
+        "rows", "cols", "k", "order", "stride", "sub", "data", "checkpoints", "offsets", "_loaded"
+    )
 
     def __init__(
         self,
@@ -189,14 +215,17 @@ class VlbMatrix:
         stride: int,
         data: BitBuffer,
         checkpoints: np.ndarray,
+        offsets: np.ndarray | None = None,
     ):
         self.rows = rows
         self.cols = cols
         self.k = k
         self.order = check_order(order)
         self.stride = stride
+        self.sub = gcd(stride, _SUBLANE)
         self.data = data
         self.checkpoints = checkpoints
+        self.offsets = offsets
         self._loaded = None  # elements decoded by from_buffer, until values() takes them
 
     @classmethod
@@ -217,7 +246,12 @@ class VlbMatrix:
         pack_fields(data.words, starts, k, lengths)
         pack_fields(data.words, starts + k, lengths, flat)
         checkpoints = starts[::checkpoint_stride].copy()  # a view would keep ``starts`` alive
-        return cls(rows, cols, k, order, checkpoint_stride, data, checkpoints)
+        m = cls(rows, cols, k, order, checkpoint_stride, data, checkpoints)
+        heads = starts[:: m.sub]  # where each sub-lane starts
+        lane_starts = np.repeat(checkpoints, checkpoint_stride // m.sub)[: heads.size]
+        dtype = _offset_dtype(checkpoint_stride)
+        m.offsets = np.subtract(heads, lane_starts, dtype=dtype, casting="unsafe")
+        return m
 
     @classmethod
     def from_buffer(
@@ -229,7 +263,7 @@ class VlbMatrix:
         buf: BitBuffer,
         checkpoint_stride: int = DEFAULT_CHECKPOINT_STRIDE,
     ) -> "VlbMatrix":
-        """Adopt a raw packed buffer, walking it to rebuild checkpoints.
+        """Adopt a raw packed buffer, walking it to rebuild the directory.
 
         The walk (:func:`_walk`) only hops prefixes, through a table read
         one byte per hop, recording the start bit of each lane of
@@ -237,13 +271,15 @@ class VlbMatrix:
         prefix or the last payload would lie past the end of ``buf``.  So
         does a whole word or a set bit in ``buf`` past the stream's end.
         ``buf.bit_len`` is then set to the exact end of the stream, and
-        the lane decoder, the one validator, decodes it once: it raises
-        CorruptStream if the stream is not decodable or not canonical,
-        so a loaded matrix is bit-identical to compressing its own
-        elements.  The walk's table and lane starts are released before
-        the decode.  The decoded elements stay on the matrix until the
-        first :meth:`values` call takes them, so loading and then
-        decoding a stream decodes it once.
+        the lane decoder, the one validator, decodes it once over whole
+        lanes: it raises CorruptStream if the stream is not decodable or
+        not canonical, so a loaded matrix is bit-identical to compressing
+        its own elements.  The decoder fills the sub-lane offsets from the
+        element starts it finds, and the matrix takes them only once the
+        stream has validated.  The walk's table and lane starts are
+        released before the decode.  The decoded elements stay on the
+        matrix until the first :meth:`values` call takes them, so loading
+        and then decoding a stream decodes it once.
         """
         if checkpoint_stride < 1:
             raise ValueError("checkpoint_stride must be >= 1")
@@ -259,21 +295,33 @@ class VlbMatrix:
         return m
 
     def get(self, i: int, j: int) -> int:
-        """Decode one element, hopping prefixes from the start of its lane.
+        """Decode one element, hopping prefixes from the start of its sub-lane.
 
-        The lane ends where the next lane starts, or at the end of the
-        stream for the last lane.  Hops, prefix and payload all read one
-        list of Python ints: the words of that lane, plus one.
+        The sub-lane starts ``offsets[s]`` bits after its lane's
+        checkpoint, so at most ``sub - 1`` prefixes (7 at the default
+        stride) lie between it and the element.  It ends where the next
+        sub-lane starts, or at the end of the stream for the last one;
+        ``_hop`` raises CorruptStream past that end.  Hops, prefix and
+        payload all read one list of Python ints: the words of that
+        sub-lane, plus one.
         """
         idx = unravel_index(i, j, self.rows, self.cols, self.order)
+        offs = self.offsets
+        if offs is None:  # built without offsets: the first decode fills them
+            self._loaded = self.values()
+            offs = self.offsets
         cps = self.checkpoints
-        lane = idx // self.stride
-        pos = cps.item(lane)
-        end = cps.item(lane + 1) if lane + 1 < cps.size else self.data.bit_len
+        sub = self.sub
+        per = self.stride // sub  # sub-lanes per lane
+        s = idx // sub
+        pos = cps.item(s // per) + offs.item(s)
+        end = self.data.bit_len
+        if s + 1 < offs.size:
+            end = cps.item((s + 1) // per) + offs.item(s + 1)
         w0 = pos >> 6
         words = self.data.words[w0 : (end >> 6) + 2].tolist()
         k = self.k
-        pos = _hop(words, pos & 63, idx - lane * self.stride, k, end - (w0 << 6))
+        pos = _hop(words, pos & 63, idx - s * sub, k, end - (w0 << 6))
         return _read(words, pos + k, _read(words, pos, k))
 
     def values(self) -> np.ndarray:
@@ -282,56 +330,91 @@ class VlbMatrix:
         return self._decode() if out is None else out
 
     def _decode(self) -> np.ndarray:
-        """Decode and validate the whole stream, one lane per checkpoint.
+        """Decode and validate the whole stream, one lane per directory entry.
 
-        All lanes hop one element per vectorised step, reading prefixes
-        and storing element starts.  A pass over groups of whole lanes
-        then takes each prefix as the gap to the next start in its lane,
-        raises CorruptStream on a prefix or payload past the end of the
-        stream or a prefix that is 0, above 64 or not the bit-length of
-        its payload, and overwrites the starts with the payloads.  Each
-        lane must end where the next starts, the last at the end of the
-        stream, and ``k`` must be the bit-length of the largest prefix.
+        A lane is a sub-lane of ``sub`` elements once ``offsets`` exist,
+        and a whole checkpoint lane while ``from_buffer`` still has to
+        fill them.  Lanes are decoded in blocks of ``_GROUP`` lanes, whose
+        starts are the only ones held at a time.  All lanes of a block hop
+        one element per vectorised step, reading prefixes and storing
+        element starts.  A pass over groups of whole lanes then takes each
+        prefix as the gap to the next start in its lane, raises
+        CorruptStream on a prefix or payload past the end of the stream or
+        a prefix that is 0, above 64 or not the bit-length of its payload,
+        and overwrites the starts with the payloads.  Each lane must end
+        where the next starts, the last at the end of the stream, every
+        sub-lane at a lane's start must have offset 0, and ``k`` must be
+        the bit-length of the largest prefix.  Offsets being filled are
+        taken from the element starts and set on the matrix only once the
+        whole stream has validated.
         """
         n = self.rows * self.cols
         k = self.k
-        stride = self.stride
         limit = self.data.bit_len
         words = self.data.words
-        starts = self.checkpoints
-        lane_pos = starts.copy()
-        lanes = starts.size
-        last_len = n - (lanes - 1) * stride  # elements in the last lane
+        cps = self.checkpoints
+        offs = self.offsets
+        sub = self.sub
+        fill = offs is None
+        if fill:
+            lane, per = self.stride, 1
+            offs = np.empty(-(-n // sub), dtype=_offset_dtype(self.stride))
+        else:
+            lane, per = sub, self.stride // sub
+            if offs[::per].any():
+                raise CorruptStream("a sub-lane at the start of its lane has a nonzero offset")
+        lanes = -(-n // lane)
         out = np.empty(n, dtype=np.uint64)
         cap = max(limit - k, 0)  # where a corrupt lane hops past the end, the checks below fail
-        for t in range(min(stride, n)):
-            pos = lane_pos[: lanes if t < last_len else lanes - 1]
-            out[t::stride] = pos
-            b = unpack_fields(words, np.minimum(pos, cap), k)
-            pos += k
-            pos += b.view(np.int64)
-        group = max(1, _GROUP // stride) * stride
-        for a in range(0, n, group):
-            pos = out[a : a + group].view(np.int64)
-            ends = lane_pos[a // stride : (a + group) // stride]
-            b = np.append(pos[1:], ends[-1])  # where the next element of the lane starts
-            b[stride - 1 :: stride] = ends[: b.size // stride]
-            b -= pos
-            b -= k
-            if ends.max() > limit or b.min() < 1 or b.max() > WORD_BITS:
-                raise _corrupt(pos, b, k, limit)
-            v = unpack_fields(words, pos + k, b)
-            # (v | 1) >> (b - 1) is 0 where a payload wider than 1 bit lacks its top bit
-            if ((v | 1) >> (b - 1).view(np.uint64)).min() == 0:
-                raise _corrupt(pos, b, k, limit, v)
-            out[a : a + group] = v
-        if (lane_pos != np.append(starts[1:], limit)).any():
-            raise CorruptStream("a checkpoint lane does not end where the next one starts")
+        group = max(1, _GROUP // lane) * lane
+        for s0 in range(0, lanes, _GROUP):
+            s1 = min(s0 + _GROUP, lanes)
+            if fill:
+                lane_pos = cps[s0:s1].copy()
+                after = cps.item(s1) if s1 < lanes else limit  # where the block must end
+            else:
+                lane_pos = cps[np.arange(s0, s1) // per]
+                lane_pos += offs[s0:s1]
+                after = cps.item(s1 // per) + offs.item(s1) if s1 < lanes else limit
+            e0, e1 = s0 * lane, min(s1 * lane, n)
+            block = out[e0:e1]
+            last_len = e1 - (s1 - 1) * lane  # elements in the block's last lane
+            for t in range(min(lane, e1 - e0)):
+                pos = lane_pos[: s1 - s0 if t < last_len else s1 - s0 - 1]
+                block[t::lane] = pos
+                b = unpack_fields(words, np.minimum(pos, cap), k)
+                pos += k
+                pos += b.view(np.int64)
+            # block[lane::lane] still holds where each lane but the first starts
+            nxt = block[lane::lane].view(np.int64)
+            seams = lane_pos.item(-1) == after and (lane_pos[:-1] == nxt).all()
+            for a in range(0, e1 - e0, group):
+                pos = block[a : a + group].view(np.int64)
+                ends = lane_pos[a // lane : (a + group) // lane]
+                b = np.append(pos[1:], ends[-1])  # where the next element of the lane starts
+                b[lane - 1 :: lane] = ends[: b.size // lane]
+                b -= pos
+                b -= k
+                if ends.max() > limit or b.min() < 1 or b.max() > WORD_BITS:
+                    raise _corrupt(pos, b, k, limit)
+                v = unpack_fields(words, pos + k, b)
+                # (v | 1) >> (b - 1) is 0 where a payload wider than 1 bit lacks its top bit
+                if ((v | 1) >> (b - 1).view(np.uint64)).min() == 0:
+                    raise _corrupt(pos, b, k, limit, v)
+                if fill:  # ``a`` and ``e0`` start lanes, which start sub-lanes
+                    heads = pos[::sub]
+                    lane_starts = np.repeat(pos[::lane], lane // sub)[: heads.size]
+                    offs[(e0 + a) // sub :][: heads.size] = heads - lane_starts
+                block[a : a + group] = v
+            if not seams:
+                raise CorruptStream("a checkpoint lane does not end where the next one starts")
         top = bit_length(int(out.max()))  # the largest prefix, as payloads are canonical
         if k != bit_length(top):
             raise CorruptStream(
                 f"prefix width {k} is not the bit-length of the largest prefix {top}"
             )
+        if fill:
+            self.offsets = offs
         return out
 
     def decompress(self) -> np.ndarray:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -56,15 +58,20 @@ def scalar_decode(m):
     where the stream is not the canonical encoding of its elements: a
     prefix or payload past ``bit_len``, a prefix outside 1..64 or not the
     bit-length of its payload, a checkpoint that is not where its element
-    starts, a stream that does not end at ``bit_len``, or a ``k`` that is
-    not the bit-length of the largest prefix.
+    starts, a sub-lane offset of ``gcd(stride, 8)`` elements that does not
+    lead from its lane's checkpoint to where its element starts, a stream
+    that does not end at ``bit_len``, or a ``k`` that is not the
+    bit-length of the largest prefix.
     """
     data, k, stride = m.data, m.k, m.stride
+    sub = math.gcd(stride, 8)
     pos = int(m.checkpoints[0])
     values = []
     for i in range(m.rows * m.cols):
         if i % stride == 0 and pos != m.checkpoints[i // stride]:
             raise CorruptStream(f"checkpoint {i // stride} is not where element {i} starts")
+        if i % sub == 0 and pos != int(m.checkpoints[i // stride]) + int(m.offsets[i // sub]):
+            raise CorruptStream(f"sub-lane offset {i // sub} is not where element {i} starts")
         if pos + k > data.bit_len:
             raise CorruptStream(f"prefix of element {i} runs past end of stream")
         b = data.read_field(pos, k)

@@ -153,9 +153,23 @@ def test_loading_hops_with_the_table_until_a_lane_runs_past_the_stream(monkeypat
         load_bytes(vlb_container(m.k, m.data.words[:words].tolist(), rows=250, cols=250))
     assert hops[0][1] == cps[j]  # (words, pos, count, k, limit) of each call
     assert all(pos >= cps[j] for _, pos, *_ in hops)
-    hops.clear()
-    assert m.get(3, 4) == dense[3, 4]
-    assert len(hops) == 1
+    loaded = load_bytes(dump_bytes(m)).inner
+    assert np.array_equal(loaded.offsets, m.offsets) and loaded.offsets.dtype == np.uint16
+    for g in (m, loaded):
+        for i, j in ((3, 4), (0, 0), (100, 63), (249, 249)):
+            hops.clear()
+            assert g.get(i, j) == dense[i, j]
+            assert len(hops) == 1 and hops[0][2] < 8  # fewer than 8 prefixes from a sub-lane start
+
+
+def test_load_bytes_memory_beyond_its_output_is_bounded():
+    dense = sample_matrix(Uniform(1, 64), 500, 500, 7)
+    blob = dump_bytes(VlbMatrix.compress(dense))
+    m, peak = traced_peak(lambda b: load_bytes(b).inner, blob)
+    out = m.values()
+    assert out.tolist() == dense.ravel().tolist()
+    kept = out.nbytes + m.data.words.nbytes + m.checkpoints.nbytes + m.offsets.nbytes
+    assert peak - kept <= 384 * 1024  # the payload is not copied beside its words
 
 
 def test_container_accepts_widened_sm(worked_row):

@@ -21,12 +21,13 @@ from ccmatrix.bitstream import (
     pack_fields,
     unpack_fields,
 )
+from ccmatrix import vlb
 from ccmatrix.errors import CorruptStream, FieldOverflow
 from ccmatrix.genmat import Uniform, sample_matrix
 from ccmatrix.sm import SmMatrix
 from ccmatrix.vlb import _BLOCK, VlbMatrix, _walk
 
-from conftest import element_starts, encode_reference, reference_walk, scalar_decode
+from conftest import count_calls, element_starts, encode_reference, reference_walk, scalar_decode
 
 # (gap before the field, width, value): gaps up to 63 put fields at every offset
 field = st.tuples(st.integers(0, 63), st.integers(1, 64)).flatmap(
@@ -120,6 +121,7 @@ def test_vlb_lanes_match_single_field_path(stride, offset, rnd, top):
     raw = BitBuffer.from_bytes(m.data.to_bytes(), 64 * m.data.word_count)
     again = VlbMatrix.from_buffer(1, n, k, "row", raw, checkpoint_stride=stride)
     assert again == m and np.array_equal(again.checkpoints, m.checkpoints)
+    assert np.array_equal(again.offsets, m.offsets)
     for cps in (m.checkpoints, again.checkpoints):  # one int64 start bit per lane, no views
         assert cps.dtype == np.int64 and cps.base is None
         assert len(cps) == -(-n // stride)
@@ -191,6 +193,33 @@ def test_lane_decoder_rejects_checkpoint_seam_mismatch():
         m.values()
 
 
+def test_lane_decoder_rejects_stream_ending_before_bit_len():
+    m, starts = three_lanes()
+    m.data.write_field(starts[-1], m.k, 3)  # 77 = 0b1001101 reads as a canonical 0b101
+    with pytest.raises(CorruptStream, match="checkpoint lane"):
+        m.values()
+    with pytest.raises(CorruptStream, match="does not end at bit_len"):
+        scalar_decode(m)
+
+
+def test_lane_decoder_rejects_nonzero_offset_at_a_lane_start():
+    m, _ = three_lanes()  # stride 4: one sub-lane per lane
+    m.checkpoints[1] -= 1
+    m.offsets[1] += 1  # the sub-lane still starts where it did
+    with pytest.raises(CorruptStream, match="nonzero offset"):
+        m.values()
+    with pytest.raises(CorruptStream, match="checkpoint 1 is not where"):
+        scalar_decode(m)
+
+
+def test_decoding_a_small_matrix_reads_fields_nine_times(monkeypatch):
+    dense = sample_matrix(Uniform(1, 64), 20, 20, 5)
+    m = VlbMatrix.compress(dense)  # stride 64: 50 sub-lanes of 8 elements, one block
+    reads = count_calls(monkeypatch, vlb, "unpack_fields")
+    assert m.values().tolist() == dense.ravel().tolist()
+    assert len(reads) <= 9  # 8 prefix steps and 1 extract
+
+
 def decoded_or_rejected(decode):
     try:
         return decode()
@@ -229,11 +258,20 @@ def test_decoder_matches_scalar_reference(stride, order, data, edits):
         if kind == "flip":
             i = at % (WORD_BITS * m.data.word_count)
             m.data.words[i >> 6] ^= np.uint64(1 << (i & 63))
-        elif kind == "shift":  # move a checkpoint by a few bits or onto another element
-            lane = at % len(m.checkpoints)
-            pos = int(m.checkpoints[lane])
+        elif kind == "shift":  # move a checkpoint or a sub-lane offset a few bits or onto an element
+            cps, offs = m.checkpoints, m.offsets
+            if value & 128:
+                s = at % len(offs)
+                lane_start = int(cps[s * m.sub // m.stride])
+                pos = lane_start + int(offs[s])
+            else:
+                lane = at % len(cps)
+                pos = int(cps[lane])
             pos = starts[at % len(starts)] if value & 1 else max(0, pos + value % 128 - 64)
-            m.checkpoints[lane] = pos
+            if value & 128:
+                offs[s] = min(max(0, pos - lane_start), np.iinfo(offs.dtype).max)
+            else:
+                cps[lane] = pos
         elif bits == 0:
             continue  # nothing left to set or cut
         elif kind == "set":  # a prefix, or an arbitrary field inside the stream

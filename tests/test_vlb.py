@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from ccmatrix.errors import CorruptStream, OutOfBounds
 from ccmatrix.sm import SmMatrix
 from ccmatrix.vlb import VlbMatrix
 
-from conftest import WORKED_ROW, WORKED_ROW_BITLENS, encode_reference, scan_get
+from conftest import WORKED_ROW, WORKED_ROW_BITLENS, element_starts, encode_reference, scan_get
 
 
 def test_worked_row_prefix_and_bit_count(worked_row):
@@ -68,6 +70,30 @@ def test_get_matches_dense_and_scan_oracle(rng):
                         assert m.get(i, j) == dense[i, j]
                         idx = unravel_index(i, j, 9, 13, order)
                         assert m.get(i, j) == scan_get(m, idx)
+
+
+OFFSET_DTYPES = {1: np.uint8, 3: np.uint8, 8: np.uint16, 64: np.uint16, 200: np.uint16, 1000: np.uint32}
+
+
+@pytest.mark.parametrize("order", ["row", "col"])
+@pytest.mark.parametrize("stride", sorted(OFFSET_DTYPES))
+def test_get_and_directory_agree_with_values(stride, order):
+    # 851 elements: the last lane is short at every stride but 1
+    rng = np.random.default_rng(stride)
+    dense = rng.integers(0, 2**64, size=(23, 37), dtype=np.uint64)
+    dense >>= rng.integers(0, 64, size=dense.shape, dtype=np.uint64)
+    m = VlbMatrix.compress(dense, order, checkpoint_stride=stride)
+    raw = BitBuffer.from_bytes(m.data.to_bytes(), 64 * m.data.word_count)
+    loaded = VlbMatrix.from_buffer(23, 37, m.k, order, raw, checkpoint_stride=stride)
+    flat = m.values().tolist()
+    starts = element_starts(flat, m.k)
+    sub = math.gcd(stride, 8)
+    want = [starts[e] - starts[e - e % stride] for e in range(0, len(flat), sub)]
+    for g in (m, loaded):
+        assert g.offsets.tolist() == want and g.offsets.dtype == OFFSET_DTYPES[stride]
+        for i, j in np.ndindex(23, 37):
+            assert g.get(i, j) == flat[unravel_index(i, j, 23, 37, order)]
+    assert loaded.values().tolist() == flat
 
 
 def test_checkpoints_start_at_origin_and_increase(rng):
