@@ -39,16 +39,16 @@ def bit_length(n: int) -> int:
 def bit_lengths(values: np.ndarray) -> np.ndarray:
     """Vectorised :func:`bit_length` of a uint64 array, as int64.
 
-    Exact binary search on shifts (no floating point), so every value
-    up to ``2**64 - 1`` is classified correctly; 0 maps to 1.
+    The exponent of ``np.frexp`` on the value as a float64, corrected
+    where the conversion rounded up: ``2**k - 1`` for k > 53 converts to
+    ``2**k``, one bit too many, which the shift test takes back.  So
+    every value up to ``2**64 - 1`` is classified exactly; 0 maps to 1,
+    as ``v | 1`` has the bit length of ``v`` for every v but 0.
     """
-    v = np.array(values, dtype=np.uint64)
-    out = np.ones(v.shape, dtype=np.uint64)
-    for s in (32, 16, 8, 4, 2, 1):
-        shift = (v >= np.uint64(1 << s)) * np.uint64(s)
-        v >>= shift
-        out += shift
-    return out.astype(np.int64)
+    v = np.asarray(values, dtype=np.uint64) | np.uint64(1)
+    e = np.frexp(v.astype(np.float64))[1].astype(np.int64)
+    e -= (v >> (e - 1).view(np.uint64)) == 0
+    return e
 
 
 def _split(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain
+import warnings
+from functools import cache
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -27,13 +29,62 @@ from .genmat import (
 )
 
 
+_PLAIN = b"0123456789 \t,\n\r"
+_CHUNK = 1 << 20
+
+
+def _is_plain(text: str) -> bool:
+    """Whether ``text`` holds a digit and no character outside ``_PLAIN``,
+    and no field that ``int()`` would refuse for its digit count.
+
+    A field below 2**64 has at most 20 significant digits, so it passes
+    ``sys.get_int_max_str_digits()`` (0: no limit) unless it starts with
+    ``limit - 19`` zeros.  The alphabet is checked a chunk at a time, so
+    no second copy of the whole text exists."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return (
+        text.isascii()
+        and any(d in text for d in "0123456789")
+        and not (limit and "0" * (limit - 19) in text)
+        and not any(text[i : i + _CHUNK].encode().translate(None, _PLAIN)
+                    for i in range(0, len(text), _CHUNK))
+    )
+
+
 def parse_text_matrix(text: str) -> np.ndarray:
     """Parse text into a 2-D uint64 array, one row per non-blank line.
 
     Lines split as ``str.splitlines`` does, fields on commas and Unicode
     whitespace.  A field is anything ``int()`` accepts (``+3``, ``1_000``,
     non-ASCII digits) in 0..2**64 - 1; else, or for ragged or no rows,
-    ParseError."""
+    ParseError.
+
+    Plain text (see ``_is_plain``) goes through numpy's C tokenizer,
+    ``np.loadtxt``.  Any other text, and plain text that loadtxt rejects
+    (a value of 2**64 or more, ragged rows), goes through ``int()`` in
+    :func:`_parse_fields`, which words every error.  Both accept the same
+    texts with the same values, also under a changed ``int()`` digit
+    limit and on numpy releases that only warn on an integer overflow."""
+    if _is_plain(text):
+        lines = text.splitlines()
+        lines.reverse()
+        # pop each line as loadtxt reads it, so the lines free as the output fills
+        rows = map(list.pop, repeat(lines, len(lines)))
+        if "," in text:
+            rows = (line.replace(",", " ") for line in rows)  # only lines with a comma are copied
+        try:
+            with warnings.catch_warnings():
+                # numpy releases from 1.23 on read an integer field that fails
+                # to parse (one of 2**64 or more) as a float and only warn
+                warnings.simplefilter("error", DeprecationWarning)
+                return np.loadtxt(rows, dtype=np.uint64, comments=None, ndmin=2)
+        except (ValueError, DeprecationWarning):
+            pass  # _parse_fields words the error
+    return _parse_fields(text)
+
+
+def _parse_fields(text: str) -> np.ndarray:
+    """:func:`parse_text_matrix` by one ``int()`` per field, for any text."""
     lines = text.splitlines()
     widths: list[int] = []
 
@@ -251,8 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

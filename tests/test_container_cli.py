@@ -3,11 +3,12 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ccmatrix import cli, vlb
@@ -324,6 +325,102 @@ def test_parse_matches_reference_parser_on_edge_cases(text):
     )
 
 
+# Plain text: ASCII digits, spaces, tabs, commas and \n / \r line ends,
+# the input that parse_text_matrix hands to np.loadtxt.
+plain_fields = st.one_of(
+    st.integers(0, 2**64 - 1).map(str),
+    st.tuples(st.integers(1, 3), st.integers(0, 10**6)).map(lambda z: "0" * z[0] + str(z[1])),
+    st.integers(10**18, 2**64 - 1).map(str),  # 19 and 20 digits
+    st.integers(2**64, 10**21).map(str),
+    st.sampled_from(["0", "00", str(2**64 - 1), str(2**64), "9" * 20, "0" * 25 + "1", "9" * 4301,
+                     "0" * 4300, "0" * 4301, "0" * 4300 + "7"]),  # int() refuses over 4300 digits
+)
+PLAIN_FIELD_SEPS = [" ", ",", "\t", " , ", ",,", "\t ", ", \t"]
+PLAIN_LINE_SEPS = ["\n", "\r\n", "\r", "\n\n", "\n \n", "\r\n\t,\r\n", "\r\r"]
+
+
+@st.composite
+def plain_texts(draw):
+    if draw(st.booleans()):  # anything at all from the plain alphabet
+        return draw(st.text(alphabet="0129 ,\t\r\n", max_size=40))
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    ragged = draw(st.booleans())
+    lines = []
+    for _ in range(rows):
+        width = draw(st.integers(0, cols + 1)) if ragged else cols
+        toks = draw(st.lists(plain_fields, min_size=width, max_size=width))
+        lead, trail = draw(st.sampled_from(["", " ", "\t", ","])), draw(st.sampled_from(["", " ", ","]))
+        lines.append(lead + draw(st.sampled_from(PLAIN_FIELD_SEPS)).join(toks) + trail)
+    line_sep = st.sampled_from(PLAIN_LINE_SEPS)
+    text = draw(st.sampled_from(["", "\n", " \r\n"])) + "".join(line + draw(line_sep) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@given(plain_texts())
+@example("0" * 4301 + "\n")
+@example("1, " + "0" * 4300 + "7\r\n2 3")
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_plain_text_parse_matches_reference_parser(text):
+    want = parsed_or_rejected(reference_parse_text_matrix, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns where it finds no rows
+        assert parsed_or_rejected(parse_text_matrix, text) == want
+
+
+@pytest.mark.parametrize("sep, end", [(" ", "\n"), (",", "\r\n"), ("\t", "\r")])
+def test_store_shaped_text_never_reaches_the_int_path(monkeypatch, sep, end):
+    dense = sample_matrix(Uniform(1, 40), 250, 250, 7)
+    text = format_text_matrix(dense).replace(" ", sep).replace("\n", end)
+    general = count_calls(monkeypatch, cli, "_parse_fields")
+    out = parse_text_matrix(text)
+    assert general == []
+    assert out.dtype == np.uint64 and out.tolist() == dense.tolist()
+    with pytest.raises(ParseError, match="line 251: 18446744073709551616 outside"):
+        parse_text_matrix(text + f"{2**64}" + " 1" * 249)  # loadtxt rejects, int() words it
+    assert len(general) == 1
+    parse_text_matrix("+" + text)
+    assert len(general) == 2
+
+
+def test_plain_overflow_is_rejected_with_warnings_ignored(monkeypatch):
+    text = f"1 2\n{2**64} 1\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ParseError, match="line 2: 18446744073709551616 outside"):
+            parse_text_matrix(text)
+
+        def loadtxt_that_reads_overflow_as_float(*args, **kwargs):  # numpy 1.23 on
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+            return np.zeros((2, 2), dtype=np.uint64)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt_that_reads_overflow_as_float)
+        with pytest.raises(ParseError, match="line 2: 18446744073709551616 outside"):
+            parse_text_matrix(text)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="int() has no digit limit")
+@pytest.mark.parametrize("limit", [640, 4300, 0])
+def test_plain_parse_follows_the_int_digit_limit(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for zeros in (619, 620, 639, 640, 4299, 4300, 5000):
+            for text in ("0" * zeros + "7\n", "1 " + "0" * zeros + "\n"):
+                want = parsed_or_rejected(reference_parse_text_matrix, text)
+                assert parsed_or_rejected(parse_text_matrix, text) == want
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("text", ["", " \n", "\n\n", ",\t\r\n"])
+def test_text_without_rows_raises_without_a_warning(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="input contains no matrix rows"):
+            parse_text_matrix(text)
+
+
 def test_parse_returns_a_uint64_matrix():
     out = parse_text_matrix(f"0 {2**64 - 1}\n7 8\n")
     assert out.dtype == np.uint64 and out.shape == (2, 2)
@@ -364,6 +461,13 @@ def test_text_io_memory_is_bounded():
     assert peak <= 1.5 * 2**20
 
 
+def test_parse_memory_does_not_grow_at_scale():
+    text = format_text_matrix(sample_matrix(Uniform(1, 64), 1000, 1000, 7))  # 11.2 MB
+    out, peak = traced_peak(parse_text_matrix, text)
+    assert out.shape == (1000, 1000)
+    assert peak <= 18.53 * 2**20  # the peak of the int() path over the same text
+
+
 # -- CLI -----------------------------------------------------------------
 
 
@@ -393,6 +497,21 @@ def test_cli_compress_empty_input_exits_2(tmp_path):
     src = tmp_path / "empty.txt"
     src.write_text("\n")
     assert main(["compress", str(src), str(tmp_path / "o.ccm")]) == 2
+
+
+def test_cli_builds_its_parser_once(monkeypatch, tmp_path, capsys):
+    src = write_row(tmp_path)
+    assert main(["info", str(tmp_path / "nope.ccm")]) == 3
+    built = count_calls(monkeypatch, cli, "build_parser")
+    for method in ("sm", "vlb"):
+        assert main(["compress", str(src), str(tmp_path / "m.ccm"), "--method", method]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["compress", "--method", "lz"])
+    assert exc.value.code == 2
+    assert built == []
+    err = capsys.readouterr().err
+    assert "usage: ccmatrix compress" in err and "invalid choice: 'lz'" in err
+    assert cli.build_parser().format_help() == cli._parser().format_help()
 
 
 def test_cli_missing_input_exits_3(tmp_path):

@@ -67,6 +67,7 @@ def test_pack_rejects_value_wider_than_field():
 
 @given(st.lists(st.integers(0, U64_MAX), min_size=1, max_size=50))
 @example([0, 1, 2, 3, 2**32 - 1, 2**32, 2**63 - 1, 2**63, U64_MAX])
+@example([0] + [min(2**k + d, U64_MAX) for k in range(1, 65) for d in (-1, 0, 1)])
 def test_bit_lengths_match_scalar(values):
     assert bit_lengths(np.array(values, dtype=np.uint64)).tolist() == [
         bit_length(v) for v in values
