@@ -17,7 +17,7 @@ from . import experiments
 from .bitstream import U64_MAX
 from .cmatrix import CompressedMatrix
 from .container import load_matrix, save_matrix
-from .efficiency import WORST_CASE_K, measure
+from .efficiency import WORST_CASE_K, bit_accounting, measure
 from .errors import CcmatrixError, ParseError
 from .genmat import (
     BetaMixture,
@@ -125,22 +125,28 @@ def format_text_matrix(dense) -> str:
 
 
 def _print_report(m: CompressedMatrix, show_histogram: bool = False) -> None:
-    rep = measure(m)
+    """Print the storage report of ``m``.
+
+    Every line but the histogram comes from the header fields and the
+    packed size (:func:`bit_accounting`), so ``compress`` decodes nothing.
+    The histogram, which ``info`` prints, comes from :func:`measure`,
+    which decodes ``m`` once."""
     inner = m.inner
-    print(f"method: {rep.method}")
+    allocated, used, eta = bit_accounting(m)
+    print(f"method: {m.method}")
     print(f"rows: {m.rows}")
     print(f"cols: {m.cols}")
     print(f"order: {inner.order}")
-    if rep.method == "sm":
+    if m.method == "sm":
         print(f"width: {inner.width}")
     else:
         print(f"k: {inner.k}")
-    print(f"bits_allocated: {rep.bits_allocated}")
-    print(f"bits_used: {rep.bits_used}")
-    print(f"eta: {rep.eta!r}")
+    print(f"bits_allocated: {allocated}")
+    print(f"bits_used: {used}")
+    print(f"eta: {eta!r}")
     if show_histogram:
         print("histogram:")
-        for b, f in rep.histogram.items():
+        for b, f in measure(m).histogram.items():
             print(f"  {b}: {f}")
 
 

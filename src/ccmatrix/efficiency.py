@@ -145,21 +145,34 @@ def solve_two_point(
     return TwoPointSolveResult(float(p1), float(p2), feasible)
 
 
+def bit_accounting(m: CompressedMatrix | SmMatrix | VlbMatrix) -> tuple[int, int, float]:
+    """``(bits_allocated, bits_used, eta)`` of a compressed matrix, decoding nothing.
+
+    The allocation is 64 bits per element and ``bits_used`` is the length
+    of the packed buffer, so the three need only ``rows``, ``cols`` and
+    ``bits_used``.  ``eta`` is the exact allocated-vs-used ratio.
+    """
+    inner = m.inner if isinstance(m, CompressedMatrix) else m
+    allocated = 64 * inner.rows * inner.cols
+    used = inner.bits_used
+    return allocated, used, float(Fraction(allocated - used, allocated))
+
+
 def measure(m: CompressedMatrix | SmMatrix | VlbMatrix) -> EfficiencyReport:
     """Storage accounting for an actual compressed matrix.
 
-    ``bits_used`` comes straight from the packed buffer; ``eta`` is the
-    exact allocated-vs-used ratio, and the histogram counts the
-    bit-lengths of the decoded elements.  ``k`` is the prefix width the
-    matrix actually stores, or for fixed-width matrices the equivalent
-    derived value (bit-length of the largest bit-length present).
+    ``bits_allocated``, ``bits_used`` and ``eta`` come from
+    :func:`bit_accounting`.  The histogram counts the bit-lengths of the
+    elements, so it decodes the whole matrix once; a caller that needs
+    only the three figures calls :func:`bit_accounting` instead.  ``k`` is
+    the prefix width the matrix actually stores, or for fixed-width
+    matrices the equivalent derived value (bit-length of the largest
+    bit-length present).
     """
     inner = m.inner if isinstance(m, CompressedMatrix) else m
     counts = np.bincount(bit_lengths(inner.values())).tolist()
     histogram = {b: f for b, f in enumerate(counts) if f}
-    allocated = 64 * inner.rows * inner.cols
-    used = inner.bits_used
-    eta = float(Fraction(allocated - used, allocated))
+    allocated, used, eta = bit_accounting(inner)
     if isinstance(inner, VlbMatrix):
         k = inner.k  # the prefix width actually stored
         method = "vlb"

@@ -3,6 +3,10 @@
 Each element is stored as a ``k``-bit prefix holding its exact bit-length
 followed by a payload of that many bits.  ``k`` is the bit-length of the
 bit-length of the largest element, so it never exceeds 7 for 64-bit data.
+The prefix sits below its payload, so when the widest element fits one
+word with its prefix (``b + k <= 64``: every element is below 2**58),
+``compress`` writes each element as one field ``prefix | payload << k``;
+otherwise it writes the prefixes, then the payloads.
 
 Prefixes interleaved with payloads make one stream serial: where an
 element starts depends on every prefix before it.  So a two-level
@@ -235,16 +239,36 @@ class VlbMatrix:
         order: str = ROW_MAJOR,
         checkpoint_stride: int = DEFAULT_CHECKPOINT_STRIDE,
     ) -> "VlbMatrix":
+        """Pack a dense non-negative integer matrix in ``order``.
+
+        ``k`` is the bit-length of the largest bit-length ``b``.  When
+        ``b + k <= 64``, that is when every element is below 2**58, each
+        element is packed as one field ``prefix | payload << k`` of its
+        ``k`` + bit-length bits, by one :func:`pack_fields` call over the
+        stream.  Otherwise one call packs the prefixes and a second the
+        payloads.  The bits are the same either way.  The checkpoints and
+        sub-lane offsets are taken from the element starts.
+        """
         if checkpoint_stride < 1:
             raise ValueError("checkpoint_stride must be >= 1")
         rows, cols, flat = dense_to_flat(dense, order)
         lengths = bit_lengths(flat)
-        k = bit_length(int(lengths.max()))
+        top = int(lengths.max())
+        k = bit_length(top)
         sizes = lengths + k
         starts = np.cumsum(sizes) - sizes
         data = BitBuffer(int(starts[-1] + sizes[-1]))
-        pack_fields(data.words, starts, k, lengths)
-        pack_fields(data.words, starts + k, lengths, flat)
+        if top + k <= WORD_BITS:
+            fields = flat << np.uint64(k)
+            fields |= lengths.view(np.uint64)
+            del lengths  # before the pack, whose temporaries make the peak
+            pack_fields(data.words, starts, sizes, fields)
+            del fields
+        else:
+            pack_fields(data.words, starts, k, lengths)
+            pack_fields(data.words, starts + k, lengths, flat)
+            del lengths
+        del sizes
         checkpoints = starts[::checkpoint_stride].copy()  # a view would keep ``starts`` alive
         m = cls(rows, cols, k, order, checkpoint_stride, data, checkpoints)
         heads = starts[:: m.sub]  # where each sub-lane starts

@@ -707,6 +707,47 @@ def test_cli_decodes_a_vlb_stream_once(tmp_path, monkeypatch, capsys, command):
     assert loaded[0].inner._loaded is None  # no decoded array outlives the command
 
 
+def report_lines(m):
+    """The lines ``compress`` prints for ``m``, built from :func:`measure`."""
+    rep = measure(m)
+    inner = m.inner
+    return [
+        f"method: {rep.method}",
+        f"rows: {m.rows}",
+        f"cols: {m.cols}",
+        f"order: {inner.order}",
+        f"width: {inner.width}" if rep.method == "sm" else f"k: {inner.k}",
+        f"bits_allocated: {rep.bits_allocated}",
+        f"bits_used: {rep.bits_used}",
+        f"eta: {rep.eta!r}",
+    ]
+
+
+@pytest.mark.parametrize("method", ["sm", "vlb"])
+def test_cli_compress_reports_without_decoding(tmp_path, monkeypatch, capsys, method):
+    src = tmp_path / "m.txt"
+    src.write_text(format_text_matrix(random_matrix(6, rows=20, cols=30, top=40)))
+    box = tmp_path / "m.ccm"
+    calls = [
+        count_calls(monkeypatch, VlbMatrix, "_decode"),
+        count_calls(monkeypatch, SmMatrix, "values"),
+        count_calls(monkeypatch, cli, "measure"),
+    ]
+    assert main(["compress", str(src), str(box), "--method", method]) == 0
+    assert calls == [[], [], []]
+    printed = capsys.readouterr().out
+    monkeypatch.undo()
+    assert printed == "".join(line + "\n" for line in report_lines(load_matrix(box)))
+
+    measures = count_calls(monkeypatch, cli, "measure")
+    assert main(["info", str(box)]) == 0
+    assert len(measures) == 1
+    histogram = measure(load_matrix(box)).histogram
+    assert capsys.readouterr().out == printed + "histogram:\n" + "".join(
+        f"  {b}: {f}\n" for b, f in histogram.items()
+    )
+
+
 def run_module(*argv, timeout=120):
     """Run ``python -m ccmatrix`` in a child process on this checkout's sources."""
     root = Path(__file__).resolve().parent.parent

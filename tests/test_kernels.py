@@ -6,6 +6,8 @@ The reference throughout is the single-field path,
 
 import re
 import tracemalloc
+from random import Random
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -106,16 +108,30 @@ def test_sm_from_values_rejects_bad_values():
         SmMatrix.compress([[1, 2]]).widen(65)
 
 
+# the largest element: its bit-length from 1..64, so k from 1 to 7, then any value of that length
+largest = st.integers(1, 64).flatmap(lambda b: st.integers((1 << b) >> 1, (1 << b) - 1))
+
+
 @pytest.mark.parametrize("stride", [1, 3, 64, 200])
 @pytest.mark.parametrize("offset", [-1, 0, 1, "below"])
-@given(rnd=st.randoms(), top=st.integers(0, U64_MAX))
+@given(rnd=st.randoms(), top=largest, wide=st.booleans())
+@example(rnd=Random(1), top=0, wide=False)
+@example(rnd=Random(2), top=2**57 - 1, wide=False)  # bit-length 57, k 6: one field
+@example(rnd=Random(3), top=2**57, wide=True)  # bit-length 58, k 6: one field of 64 bits
+@example(rnd=Random(4), top=2**58, wide=True)  # bit-length 59, k 6: two calls
+@example(rnd=Random(5), top=U64_MAX, wide=True)  # bit-length 64, k 7: two calls
 @settings(max_examples=25)
-def test_vlb_lanes_match_single_field_path(stride, offset, rnd, top):
+def test_vlb_lanes_match_single_field_path(stride, offset, rnd, top, wide):
     n = 1 if offset == "below" else max(1, stride + offset)
-    values = [rnd.randint(0, top) for _ in range(n)]
-    m = VlbMatrix.compress([values], checkpoint_stride=stride)
-    k = bit_length(bit_length(max(values)))
-    assert m.data == encode_reference(values, k)
+    lo = 2**57 if wide and top >= 2**57 else 0  # wide: every element is 2**57 or more
+    values = [rnd.randint(lo, top) for _ in range(n)]
+    values[rnd.randrange(n)] = top
+    with patch.object(vlb, "pack_fields", wraps=vlb.pack_fields) as packs:
+        m = VlbMatrix.compress([values], checkpoint_stride=stride)
+    k = bit_length(bit_length(top))
+    # one field per element when the widest fits a word with its prefix
+    assert packs.call_count == (1 if bit_length(top) + k <= WORD_BITS else 2)
+    assert m.k == k and m.data == encode_reference(values, k)
     starts = element_starts(values, k)
     assert m.checkpoints.tolist() == starts[::stride]
     assert m.values().tolist() == values
@@ -316,6 +332,25 @@ def test_from_buffer_memory_beyond_its_output_is_bounded(side):
     out = again.values()
     assert again == m and out.tolist() == dense.ravel().tolist()
     assert peak - out.nbytes - again.checkpoints.nbytes <= 384 * 1024
+
+
+@pytest.mark.parametrize(
+    "dist, bound",
+    [
+        (Uniform(1, 24), 71.71),  # one field per element
+        (Uniform(58, 64), 77.73),  # every element wide: prefixes, then payloads
+    ],
+)
+def test_compress_memory_does_not_grow_at_scale(dist, bound):
+    dense = sample_matrix(dist, 1000, 1000, 7)
+    tracemalloc.start()
+    try:
+        m = VlbMatrix.compress(dense)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(m.values(), dense.ravel())
+    assert peak <= bound * 2**20  # the peak of packing prefixes and payloads by two calls
 
 
 def walked_or_rejected(walk, buf, n, k, stride):
