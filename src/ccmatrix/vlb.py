@@ -24,8 +24,8 @@ pass over groups of whole sub-lanes extracts and checks every payload.
 Each sub-lane must end exactly where the next one starts.
 
 Two prefix walkers hop the stream.  ``get`` hops one sub-lane with ``_hop``,
-which shifts and masks the words of that sub-lane.  ``from_buffer`` rebuilds
-the checkpoints with ``_walk``, which hops the whole stream through a
+which shifts and masks the words of that sub-lane.  ``from_buffer`` finds
+every sub-lane start with ``_walk``, which hops the whole stream through a
 table indexed by bit position, as table-driven decoders of prefix codes
 do (Moffat & Turpin, "On the Implementation of Minimum Redundancy Prefix
 Codes", 1997): the table is built a block at a time, so each hop is one
@@ -34,16 +34,16 @@ save, so ``get`` keeps ``_hop``; ``_walk`` also falls back on ``_hop``
 for a lane that runs past the stream, to raise its error.
 
 The lane decoder is also the one stream validator.  ``from_buffer``
-walks prefixes to rebuild the checkpoints, rejects words or set bits
-past the stream's end and decodes once over whole lanes, filling the
-offsets from the element starts it finds; the decoder rejects every
-stream that is not the canonical encoding of its elements.
+walks prefixes to find the sub-lane starts, rejects words or set bits
+past the stream's end, builds the directory from those starts as
+``compress`` builds it from the element starts, and decodes once; the
+decoder rejects every stream that is not the canonical encoding of its
+elements, or whose sub-lanes do not meet where the directory says.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import repeat
 from math import gcd
 
 import numpy as np
@@ -117,21 +117,28 @@ def _hop_table(words: np.ndarray, base: int, size: int, k: int) -> bytearray:
 def _walk(buf: BitBuffer, n: int, k: int, stride: int) -> tuple[array, int]:
     """Hop the prefixes of ``n`` elements from bit 0 of ``buf``.
 
-    Returns the start bit of each lane of ``stride`` elements, as a
-    compact ``array('q')`` (a forged header may declare any size), and the
-    bit where the stream ends.  Each lane runs ``q += P[q]`` per element
-    through a :func:`_hop_table` ``P`` that covers ``_BLOCK`` bits of lane
-    starts plus the most bits one lane can hop.  It is rebuilt at the first
-    lane that starts past that span, so no hop indexes past it or needs a
-    test.  A lane that ends past ``buf.bit_len`` may have read past the
-    stream, so ``_hop`` walks it and every later lane again, and raises
+    Returns the start bit of each sub-lane of ``gcd(stride, 8)`` elements,
+    as a compact ``array('q')`` (a forged header may declare any size), and
+    the bit where the stream ends.  Each lane of ``stride`` elements runs
+    ``q += P[q]`` per element through a :func:`_hop_table` ``P`` that
+    covers ``_BLOCK`` bits of lane starts plus the most bits one lane can
+    hop.  It is rebuilt at the first lane that starts past that span, so no
+    hop indexes past it or needs a test.  A lane that ends past
+    ``buf.bit_len`` may have read past the stream, so ``_hop`` walks it and
+    every later lane again, one sub-lane at a time, and raises
     CorruptStream where a prefix runs past the end; ``_hop`` also walks
     every lane when one lane can hop more bits than a block holds.
     CorruptStream is raised, too, if the last payload runs past the end.
     """
     limit = buf.bit_len
+    sub = gcd(stride, _SUBLANE)
     reach = min(stride, n) * (k + (1 << k) - 1)  # the most bits one lane can hop
+    hops = (None,) * sub  # one prebuilt tuple: a fresh ``repeat`` per sub-lane is slower
+    # the hops of each sub-lane of a whole lane and of a short last one, if the table walks them
+    tabled = (min(stride, n), n % stride) if reach <= _BLOCK else (0, 0)
+    full, short = ([hops[: m - f] for f in range(0, m, sub)] for m in tabled)
     starts = array("q")
+    append = starts.append
     pos = base = span = first = 0
     table = b""
     while reach <= _BLOCK and first < n:
@@ -140,18 +147,19 @@ def _walk(buf: BitBuffer, n: int, k: int, stride: int) -> tuple[array, int]:
             base, q = pos & ~7, pos & 7
             span = min(_BLOCK, limit + 1 - base)  # no valid lane starts past bit ``limit``
             table = _hop_table(buf.words, base, span + reach, k)
-        for _ in repeat(None, min(stride, n - first)):
-            q += table[q]
+        for sub_hops in full if n - first >= stride else short:
+            append(base + q)
+            for _ in sub_hops:
+                q += table[q]
         if base + q > limit:
-            break  # the lane read past the stream: ``_hop`` walks it again below
-        starts.append(pos)
+            break  # the lane read past the stream: ``_hop`` walks it again below, and raises
         pos = base + q
         first += stride
     if first < n:
         words = buf.words.tolist()
-        for first in range(first, n, stride):
+        for first in range(first, n, sub):
             starts.append(pos)
-            pos = _hop(words, pos, min(stride, n - first), k, limit)
+            pos = _hop(words, pos, min(sub, n - first), k, limit)
     if pos > limit:
         raise CorruptStream("payload runs past end of stream")
     return starts, pos
@@ -163,13 +171,23 @@ def _read(words: list[int], pos: int, width: int) -> int:
     return ((words[w] | words[w + 1] << WORD_BITS) >> (pos & 63)) & ((1 << width) - 1)
 
 
-def _offset_dtype(stride: int) -> np.dtype:
-    """The smallest unsigned dtype for offsets inside a lane of ``stride`` elements.
+def _directory(heads: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """The checkpoints and offsets of sub-lanes that start at bits ``heads``.
 
-    An element holds at most a 7-bit prefix and a 64-bit payload, so the
-    last element of a lane starts at most ``(stride - 1) * 71`` bits in.
+    ``heads`` holds one int64 start per sub-lane of ``gcd(stride, 8)``
+    elements.  An element holds at most a 7-bit prefix and a 64-bit
+    payload, so the offsets take the smallest unsigned dtype that holds
+    ``(stride - 1) * 71``.  They are cast to it unchecked, so a forged
+    stream whose prefixes exceed 64 bits can wrap one.  A wrapped offset
+    cannot pass the decoder: it points before where its sub-lane starts,
+    so the seam check fails at the first wrapped sub-lane.
     """
-    return np.min_scalar_type((stride - 1) * (7 + WORD_BITS))
+    per = stride // gcd(stride, _SUBLANE)  # sub-lanes per lane
+    checkpoints = heads[::per].copy()  # a view would keep ``heads`` alive
+    lane_starts = checkpoints[np.arange(heads.size) // per]
+    dtype = np.min_scalar_type((stride - 1) * (7 + WORD_BITS))
+    offsets = np.subtract(heads, lane_starts, dtype=dtype, casting="unsafe")
+    return checkpoints, offsets
 
 
 def _corrupt(pos: np.ndarray, b: np.ndarray, k: int, limit: int, v=None) -> CorruptStream:
@@ -202,8 +220,7 @@ class VlbMatrix:
     Its dtype is the smallest unsigned type that holds
     ``(stride - 1) * 71``, the most bits a lane can hold before its last
     element: uint16 at the default stride.  Element indexes follow from
-    the lane and sub-lane, so they are not stored.  A matrix built
-    without ``offsets`` gets them from its first decode.
+    the lane and sub-lane, so they are not stored.
     """
 
     __slots__ = (
@@ -219,7 +236,7 @@ class VlbMatrix:
         stride: int,
         data: BitBuffer,
         checkpoints: np.ndarray,
-        offsets: np.ndarray | None = None,
+        offsets: np.ndarray,
     ):
         self.rows = rows
         self.cols = cols
@@ -247,7 +264,7 @@ class VlbMatrix:
         ``k`` + bit-length bits, by one :func:`pack_fields` call over the
         stream.  Otherwise one call packs the prefixes and a second the
         payloads.  The bits are the same either way.  The checkpoints and
-        sub-lane offsets are taken from the element starts.
+        sub-lane offsets are taken from the element starts (:func:`_directory`).
         """
         if checkpoint_stride < 1:
             raise ValueError("checkpoint_stride must be >= 1")
@@ -269,13 +286,8 @@ class VlbMatrix:
             pack_fields(data.words, starts + k, lengths, flat)
             del lengths
         del sizes
-        checkpoints = starts[::checkpoint_stride].copy()  # a view would keep ``starts`` alive
-        m = cls(rows, cols, k, order, checkpoint_stride, data, checkpoints)
-        heads = starts[:: m.sub]  # where each sub-lane starts
-        lane_starts = np.repeat(checkpoints, checkpoint_stride // m.sub)[: heads.size]
-        dtype = _offset_dtype(checkpoint_stride)
-        m.offsets = np.subtract(heads, lane_starts, dtype=dtype, casting="unsafe")
-        return m
+        directory = _directory(starts[:: gcd(checkpoint_stride, _SUBLANE)], checkpoint_stride)
+        return cls(rows, cols, k, order, checkpoint_stride, data, *directory)
 
     @classmethod
     def from_buffer(
@@ -290,31 +302,31 @@ class VlbMatrix:
         """Adopt a raw packed buffer, walking it to rebuild the directory.
 
         The walk (:func:`_walk`) only hops prefixes, through a table read
-        one byte per hop, recording the start bit of each lane of
-        ``checkpoint_stride`` elements, and stops with CorruptStream if a
-        prefix or the last payload would lie past the end of ``buf``.  So
-        does a whole word or a set bit in ``buf`` past the stream's end.
-        ``buf.bit_len`` is then set to the exact end of the stream, and
-        the lane decoder, the one validator, decodes it once over whole
-        lanes: it raises CorruptStream if the stream is not decodable or
-        not canonical, so a loaded matrix is bit-identical to compressing
-        its own elements.  The decoder fills the sub-lane offsets from the
-        element starts it finds, and the matrix takes them only once the
-        stream has validated.  The walk's table and lane starts are
-        released before the decode.  The decoded elements stay on the
-        matrix until the first :meth:`values` call takes them, so loading
-        and then decoding a stream decodes it once.
+        one byte per hop, recording the start bit of each sub-lane, and
+        stops with CorruptStream if a prefix or the last payload would lie
+        past the end of ``buf``.  So does a whole word or a set bit in
+        ``buf`` past the stream's end.  ``buf.bit_len`` is then set to the
+        exact end of the stream, :func:`_directory` turns the sub-lane
+        starts into checkpoints and offsets, as ``compress`` does, and the
+        lane decoder, the one validator, decodes the stream once: it raises
+        CorruptStream if the stream is not decodable or not canonical, or
+        if a sub-lane does not end where the directory says the next one
+        starts, so a loaded matrix is bit-identical to compressing its own
+        elements.  The walk's table and starts are released before the
+        decode.  The decoded elements stay on the matrix until the first
+        :meth:`values` call takes them, so loading and then decoding a
+        stream decodes it once.
         """
         if checkpoint_stride < 1:
             raise ValueError("checkpoint_stride must be >= 1")
-        starts, pos = _walk(buf, rows * cols, k, checkpoint_stride)
+        heads, pos = _walk(buf, rows * cols, k, checkpoint_stride)
         if buf.words.size != -(-pos // WORD_BITS) + 1:
             raise CorruptStream("payload longer than the encoded stream")
         buf.bit_len = pos
         buf.check_padding()
-        checkpoints = np.array(starts, dtype=np.int64)
-        del starts
-        m = cls(rows, cols, k, order, checkpoint_stride, buf, checkpoints)
+        directory = _directory(np.frombuffer(heads, dtype=np.int64), checkpoint_stride)
+        del heads
+        m = cls(rows, cols, k, order, checkpoint_stride, buf, *directory)
         m._loaded = m._decode()
         return m
 
@@ -331,9 +343,6 @@ class VlbMatrix:
         """
         idx = unravel_index(i, j, self.rows, self.cols, self.order)
         offs = self.offsets
-        if offs is None:  # built without offsets: the first decode fills them
-            self._loaded = self.values()
-            offs = self.offsets
         cps = self.checkpoints
         sub = self.sub
         per = self.stride // sub  # sub-lanes per lane
@@ -354,23 +363,19 @@ class VlbMatrix:
         return self._decode() if out is None else out
 
     def _decode(self) -> np.ndarray:
-        """Decode and validate the whole stream, one lane per directory entry.
+        """Decode and validate the whole stream, one sub-lane per directory entry.
 
-        A lane is a sub-lane of ``sub`` elements once ``offsets`` exist,
-        and a whole checkpoint lane while ``from_buffer`` still has to
-        fill them.  Lanes are decoded in blocks of ``_GROUP`` lanes, whose
-        starts are the only ones held at a time.  All lanes of a block hop
-        one element per vectorised step, reading prefixes and storing
-        element starts.  A pass over groups of whole lanes then takes each
-        prefix as the gap to the next start in its lane, raises
-        CorruptStream on a prefix or payload past the end of the stream or
-        a prefix that is 0, above 64 or not the bit-length of its payload,
-        and overwrites the starts with the payloads.  Each lane must end
-        where the next starts, the last at the end of the stream, every
-        sub-lane at a lane's start must have offset 0, and ``k`` must be
-        the bit-length of the largest prefix.  Offsets being filled are
-        taken from the element starts and set on the matrix only once the
-        whole stream has validated.
+        Sub-lanes are decoded in blocks of ``_GROUP``, whose starts are the
+        only ones held at a time.  All sub-lanes of a block hop one element
+        per vectorised step, reading prefixes and storing element starts
+        (``sub`` steps per block).  A pass over groups of whole sub-lanes
+        then takes each prefix as the gap to the next start in its
+        sub-lane, raises CorruptStream on a prefix or payload past the end
+        of the stream or a prefix that is 0, above 64 or not the bit-length
+        of its payload, and overwrites the starts with the payloads.  Each
+        sub-lane must end where the next starts, the last at the end of the
+        stream, every sub-lane at a lane's start must have offset 0, and
+        ``k`` must be the bit-length of the largest prefix.
         """
         n = self.rows * self.cols
         k = self.k
@@ -379,44 +384,35 @@ class VlbMatrix:
         cps = self.checkpoints
         offs = self.offsets
         sub = self.sub
-        fill = offs is None
-        if fill:
-            lane, per = self.stride, 1
-            offs = np.empty(-(-n // sub), dtype=_offset_dtype(self.stride))
-        else:
-            lane, per = sub, self.stride // sub
-            if offs[::per].any():
-                raise CorruptStream("a sub-lane at the start of its lane has a nonzero offset")
-        lanes = -(-n // lane)
+        per = self.stride // sub  # sub-lanes per lane
+        if offs[::per].any():
+            raise CorruptStream("a sub-lane at the start of its lane has a nonzero offset")
+        lanes = -(-n // sub)
         out = np.empty(n, dtype=np.uint64)
-        cap = max(limit - k, 0)  # where a corrupt lane hops past the end, the checks below fail
-        group = max(1, _GROUP // lane) * lane
+        cap = max(limit - k, 0)  # where a corrupt sub-lane hops past the end, the checks below fail
+        group = max(1, _GROUP // sub) * sub
         for s0 in range(0, lanes, _GROUP):
             s1 = min(s0 + _GROUP, lanes)
-            if fill:
-                lane_pos = cps[s0:s1].copy()
-                after = cps.item(s1) if s1 < lanes else limit  # where the block must end
-            else:
-                lane_pos = cps[np.arange(s0, s1) // per]
-                lane_pos += offs[s0:s1]
-                after = cps.item(s1 // per) + offs.item(s1) if s1 < lanes else limit
-            e0, e1 = s0 * lane, min(s1 * lane, n)
+            lane_pos = cps[np.arange(s0, s1) // per]
+            lane_pos += offs[s0:s1]
+            after = cps.item(s1 // per) + offs.item(s1) if s1 < lanes else limit
+            e0, e1 = s0 * sub, min(s1 * sub, n)
             block = out[e0:e1]
-            last_len = e1 - (s1 - 1) * lane  # elements in the block's last lane
-            for t in range(min(lane, e1 - e0)):
+            last_len = e1 - (s1 - 1) * sub  # elements in the block's last sub-lane
+            for t in range(min(sub, e1 - e0)):
                 pos = lane_pos[: s1 - s0 if t < last_len else s1 - s0 - 1]
-                block[t::lane] = pos
+                block[t::sub] = pos
                 b = unpack_fields(words, np.minimum(pos, cap), k)
                 pos += k
                 pos += b.view(np.int64)
-            # block[lane::lane] still holds where each lane but the first starts
-            nxt = block[lane::lane].view(np.int64)
+            # block[sub::sub] still holds where each sub-lane but the first starts
+            nxt = block[sub::sub].view(np.int64)
             seams = lane_pos.item(-1) == after and (lane_pos[:-1] == nxt).all()
             for a in range(0, e1 - e0, group):
                 pos = block[a : a + group].view(np.int64)
-                ends = lane_pos[a // lane : (a + group) // lane]
-                b = np.append(pos[1:], ends[-1])  # where the next element of the lane starts
-                b[lane - 1 :: lane] = ends[: b.size // lane]
+                ends = lane_pos[a // sub : (a + group) // sub]
+                b = np.append(pos[1:], ends[-1])  # where the next element of the sub-lane starts
+                b[sub - 1 :: sub] = ends[: b.size // sub]
                 b -= pos
                 b -= k
                 if ends.max() > limit or b.min() < 1 or b.max() > WORD_BITS:
@@ -425,10 +421,6 @@ class VlbMatrix:
                 # (v | 1) >> (b - 1) is 0 where a payload wider than 1 bit lacks its top bit
                 if ((v | 1) >> (b - 1).view(np.uint64)).min() == 0:
                     raise _corrupt(pos, b, k, limit, v)
-                if fill:  # ``a`` and ``e0`` start lanes, which start sub-lanes
-                    heads = pos[::sub]
-                    lane_starts = np.repeat(pos[::lane], lane // sub)[: heads.size]
-                    offs[(e0 + a) // sub :][: heads.size] = heads - lane_starts
                 block[a : a + group] = v
             if not seams:
                 raise CorruptStream("a checkpoint lane does not end where the next one starts")
@@ -437,8 +429,6 @@ class VlbMatrix:
             raise CorruptStream(
                 f"prefix width {k} is not the bit-length of the largest prefix {top}"
             )
-        if fill:
-            self.offsets = offs
         return out
 
     def decompress(self) -> np.ndarray:

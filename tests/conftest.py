@@ -90,22 +90,23 @@ def scalar_decode(m):
 
 
 def reference_walk(buf, n, k, stride):
-    """Reference checkpoint walk: one shift and mask per prefix over a list of words.
+    """Reference sub-lane walk: one shift and mask per prefix over a list of words.
 
-    Returns the start bit of each lane of ``stride`` elements and the bit
-    where ``n`` elements end, or raises CorruptStream where a prefix, or
-    the last payload, runs past ``buf.bit_len``.
+    Returns the start bit of every ``gcd(stride, 8)``-th element and the
+    bit where ``n`` elements end, or raises CorruptStream where a prefix,
+    or the last payload, runs past ``buf.bit_len``.
     """
     limit = buf.bit_len
     words = buf.words.tolist()
+    sub = math.gcd(stride, 8)
     starts, pos = [], 0
-    for first in range(0, n, stride):
-        starts.append(pos)
-        for _ in range(min(stride, n - first)):
-            if pos > limit - k:
-                raise CorruptStream("prefix runs past end of stream")
-            w = pos >> 6
-            pos += k + ((words[w] | words[w + 1] << WORD_BITS) >> (pos & 63) & ((1 << k) - 1))
+    for i in range(n):
+        if i % sub == 0:
+            starts.append(pos)
+        if pos > limit - k:
+            raise CorruptStream("prefix runs past end of stream")
+        w = pos >> 6
+        pos += k + ((words[w] | words[w + 1] << WORD_BITS) >> (pos & 63) & ((1 << k) - 1))
     if pos > limit:
         raise CorruptStream("payload runs past end of stream")
     return starts, pos

@@ -4,6 +4,7 @@ The reference throughout is the single-field path,
 ``BitBuffer.write_field``/``read_field``, one field at a time.
 """
 
+import math
 import re
 import tracemalloc
 from random import Random
@@ -189,7 +190,7 @@ def test_lane_decoder_rejects_truncated_last_lane():
 )
 def test_lane_decoder_rejects_non_canonical_stream(k, word, bit_len, match):
     buf = BitBuffer.from_bytes(word.to_bytes(8, "little"), bit_len)
-    m = VlbMatrix(1, 1, k, "row", STRIDE, buf, np.zeros(1, dtype=np.int64))
+    m = VlbMatrix(1, 1, k, "row", STRIDE, buf, np.zeros(1, np.int64), np.zeros(1, np.uint8))
     with pytest.raises(CorruptStream, match=match):
         m.values()
 
@@ -229,10 +230,14 @@ def test_lane_decoder_rejects_nonzero_offset_at_a_lane_start():
         scalar_decode(m)
 
 
-def test_decoding_a_small_matrix_reads_fields_nine_times(monkeypatch):
+@pytest.mark.parametrize("loaded", [False, True], ids=["compressed", "loaded"])
+def test_decoding_a_small_matrix_reads_fields_nine_times(monkeypatch, loaded):
     dense = sample_matrix(Uniform(1, 64), 20, 20, 5)
     m = VlbMatrix.compress(dense)  # stride 64: 50 sub-lanes of 8 elements, one block
+    raw = BitBuffer.from_bytes(m.data.to_bytes(), 64 * m.data.word_count)
     reads = count_calls(monkeypatch, vlb, "unpack_fields")
+    if loaded:  # the load decodes, and values() returns what it decoded
+        m = VlbMatrix.from_buffer(20, 20, m.k, "row", raw)
     assert m.values().tolist() == dense.ravel().tolist()
     assert len(reads) <= 9  # 8 prefix steps and 1 extract
 
@@ -405,12 +410,14 @@ def test_walk_matches_reference_walk(stride, stream, kind):
     if stream == "three-blocks":
         assert m.bits_used > 2 * _BLOCK
     starts = element_starts(dense.ravel().tolist(), m.k)
+    per = stride // m.sub  # sub-lanes per lane
+    heads = [int(m.checkpoints[s // per] + m.offsets[s]) for s in range(m.offsets.size)]
     for e in (0, n // 2, n - 1):
         want = walked_or_rejected(reference_walk, walk_input(m, starts, kind, e), n, m.k, stride)
         got = walked_or_rejected(_walk, walk_input(m, starts, kind, e), n, m.k, stride)
         assert got == want, e
         if kind in ("none", "trailing-word"):
-            assert want == (m.checkpoints.tolist(), m.bits_used)
+            assert want == (heads, m.bits_used) and heads == starts[:: m.sub]
         if isinstance(want, str):  # from_buffer raises the walk's error, as it did
             buf = walk_input(m, starts, kind, e)
             with pytest.raises(CorruptStream, match=re.escape(want)):
@@ -431,3 +438,18 @@ def test_walk_matches_reference_walk_on_random_edits(stride, data, flips, cut):
         buf.bit_len -= (cut >> 1) % (buf.bit_len + 1)
     want = walked_or_rejected(reference_walk, buf, n, m.k, stride)
     assert walked_or_rejected(_walk, buf, n, m.k, stride) == want
+
+
+@pytest.mark.parametrize("stride, offset_dtype", [(64, np.uint16), (512, np.uint16), (1000, np.uint32)])
+def test_walked_offsets_that_wrap_are_rejected(stride, offset_dtype):
+    # 600 elements whose 7-bit prefixes all read 127.  At stride 512 the
+    # walk puts the last sub-lanes of lane 0 more than 65535 bits past its
+    # checkpoint, so their uint16 offsets wrap before the decoder runs.
+    bits = 600 * (7 + 127)
+    blob = ((1 << bits) - 1).to_bytes(-(-bits // 64) * 8, "little")
+    heads, _ = _walk(BitBuffer.from_bytes(blob, bits), 600, 7, stride)
+    per = stride // math.gcd(stride, 8)
+    widest = max(h - heads[s - s % per] for s, h in enumerate(heads))
+    assert (widest > np.iinfo(offset_dtype).max) == (stride == 512)
+    with pytest.raises(CorruptStream, match="length prefix 127 exceeds 64 bits"):
+        VlbMatrix.from_buffer(1, 600, 7, "row", BitBuffer.from_bytes(blob, bits), stride)
