@@ -32,9 +32,9 @@ print(f"  prefixed:    {VlbMatrix.compress(spread).bits_used} bits")
 print()
 print("=== seekable access via a two-level directory ===")
 big = np.random.default_rng(1).integers(0, 2**20, size=(40, 40), dtype=np.uint64)
-c = VlbMatrix.compress(big, checkpoint_stride=16)
-print(f"{len(c.checkpoints)} checkpoints every 16 elements: {c.checkpoints.nbytes} bytes")
-print(f"{len(c.offsets)} {c.offsets.dtype} offsets every {c.sub} elements: {c.offsets.nbytes} bytes")
+c = VlbMatrix.compress(big)
+print(f"{len(c.checkpoints)} int64 checkpoints every 64 elements: {c.checkpoints.nbytes} bytes")
+print(f"{len(c.offsets)} {c.offsets.dtype} offsets every 8 elements: {c.offsets.nbytes} bytes")
 print(f"beside {c.data.words.nbytes} bytes of words; containers store neither level")
 print(f"get(31, 17) = {c.get(31, 17)} == dense value {big[31, 17]}")
 

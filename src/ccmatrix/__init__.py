@@ -54,7 +54,7 @@ from .genmat import (
     unit_to_bitlen,
 )
 from .sm import SmMatrix
-from .vlb import DEFAULT_CHECKPOINT_STRIDE, VlbMatrix
+from .vlb import VlbMatrix
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "CompressedMatrix",
     "Constant",
     "CorruptStream",
-    "DEFAULT_CHECKPOINT_STRIDE",
     "EfficiencyReport",
     "EfficiencySummary",
     "FieldOverflow",

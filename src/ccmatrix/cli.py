@@ -217,7 +217,6 @@ def cmd_sweep(args) -> int:
         rows = experiments.constant_bitlen_rows()
         fields = experiments.CONSTANT_FIELDS
         comments = ("constant bit-length comparison, b=1..64, k derived",)
-        sm_count = sum(1 for r in rows if float(r["D"]) >= 0)
     else:
         values = list(range(args.lo, args.hi, args.step))
         if not values:

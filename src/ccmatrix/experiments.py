@@ -166,12 +166,12 @@ def run_experiment(
     return rows
 
 
-def _grid_point_row(dist: BitLengthDist, sample_size: int, seed: int, k: int):
+def _grid_point_row(dist: BitLengthDist, sample_size: int, seed: int):
     bl = sample_bitlens(dist, sample_size, seed)
     mean_b = float(bl.mean())
     max_b = max(1, int(bl.max()))
     e1 = (64 - max_b) / 64
-    e2 = 1 - mean_b / 64 - k / 64  # histogram formula: sum(b*f)/total is the mean
+    e2 = 1 - mean_b / 64 - WORST_CASE_K / 64  # histogram formula: sum(b*f)/total is the mean
     return mean_b, e1, e2, e1 - e2
 
 
@@ -180,7 +180,6 @@ def run_mixture_grid(
     w: float = 0.5,
     sample_size: int = SWEEP_DEFAULT_SAMPLE,
     seed: int = 0,
-    k: int = WORST_CASE_K,
     axes: int = 4,
 ) -> tuple[list[dict], int]:
     """Sweep a Beta-mixture parameter grid; returns (rows, sm_favored_count).
@@ -189,7 +188,8 @@ def run_mixture_grid(
     parameter taken from ``values``, and rows have MIXTURE_FIELDS.  With
     ``axes=2`` each point is (alpha, beta), sampled as the mixture of
     Beta(alpha, beta) with itself, and rows have SINGLE_BETA_FIELDS;
-    ``w=0`` makes that a plain single-Beta draw (figure 6).
+    ``w=0`` makes that a plain single-Beta draw (figure 6).  Every point's
+    ``eta2`` charges the worst-case prefix width ``WORST_CASE_K``.
     """
     if axes not in (2, 4):
         raise ValueError(f"axes must be 2 or 4, got {axes}")
@@ -199,7 +199,7 @@ def run_mixture_grid(
     def point_stats(idx):
         params = points[idx] if axes == 4 else points[idx] * 2
         dist = BetaMixture(*params, w)
-        return _grid_point_row(dist, sample_size, derive_point_seed(seed, idx), k)
+        return _grid_point_row(dist, sample_size, derive_point_seed(seed, idx))
 
     rows = []
     sm_favored = 0

@@ -11,10 +11,11 @@ otherwise it writes the prefixes, then the payloads.
 Prefixes interleaved with payloads make one stream serial: where an
 element starts depends on every prefix before it.  So a two-level
 directory, as in rank/select indexes (Vigna, "Broadword Implementation
-of Rank/Select Queries", 2008), records where elements start: an int64
-checkpoint per lane of ``stride`` elements, and a narrow offset from
-that checkpoint per sub-lane of ``gcd(stride, 8)`` elements.  Neither
-level is stored in a container.  The directory serves twice.  Random
+of Rank/Select Queries", 2008), records where elements start, with one
+fixed geometry as in rank9: an int64 checkpoint per lane of 64 elements,
+and a uint16 offset from that checkpoint per sub-lane of 8 elements.
+Neither level is stored in a container, so a loaded matrix has the same
+directory as a compressed one.  The directory serves twice.  Random
 access hops fewer than 8 prefixes from the start of the element's
 sub-lane, and bulk decoding runs one sub-lane per directory entry,
 lengths before payloads as in Stream VByte (Lemire, Kurz & Rupp): the
@@ -44,7 +45,6 @@ elements, or whose sub-lanes do not meet where the directory says.
 from __future__ import annotations
 
 from array import array
-from math import gcd
 
 import numpy as np
 
@@ -59,10 +59,11 @@ from .bitstream import (
 )
 from .errors import CorruptStream
 
-DEFAULT_CHECKPOINT_STRIDE = 64
-_SUBLANE = 8  # elements per sub-lane at most: ``get`` hops fewer prefixes than this
-_GROUP = 4096  # elements per extract pass, and lanes per decode block, keep temporaries small
-_BLOCK = 1 << 17  # lane-start bits per hop table: a table is about 137 KiB at stride 64
+_STRIDE = 64  # elements per lane, with one int64 checkpoint each
+_SUBLANE = 8  # elements per sub-lane, with one uint16 offset each: ``get`` hops fewer than this
+_PER = _STRIDE // _SUBLANE  # sub-lanes per lane
+_GROUP = 4096  # elements per extract pass, and sub-lanes per decode block, keep temporaries small
+_BLOCK = 1 << 17  # lane-start bits per hop table: a table is about 137 KiB
 
 
 def _hop(words: list[int], pos: int, count: int, k: int, limit: int) -> int:
@@ -73,8 +74,8 @@ def _hop(words: list[int], pos: int, count: int, k: int, limit: int) -> int:
     bit where the next element starts.  Raises CorruptStream if a prefix
     would run past bit ``limit``; ``words`` must hold at least ``limit``
     bits, so a prefix that straddles two words always has its second word.
-    ``get`` hops one lane with it, and ``_walk`` hops the lanes that its
-    table cannot.
+    ``get`` hops one sub-lane with it, and ``_walk`` re-walks a lane that
+    runs past the stream.
     """
     kmask = (1 << k) - 1
     split = WORD_BITS - k  # prefixes starting past this offset straddle
@@ -114,52 +115,51 @@ def _hop_table(words: np.ndarray, base: int, size: int, k: int) -> bytearray:
     return table
 
 
-def _walk(buf: BitBuffer, n: int, k: int, stride: int) -> tuple[array, int]:
+def _walk(buf: BitBuffer, n: int, k: int) -> tuple[array, int]:
     """Hop the prefixes of ``n`` elements from bit 0 of ``buf``.
 
-    Returns the start bit of each sub-lane of ``gcd(stride, 8)`` elements,
-    as a compact ``array('q')`` (a forged header may declare any size), and
-    the bit where the stream ends.  Each lane of ``stride`` elements runs
-    ``q += P[q]`` per element through a :func:`_hop_table` ``P`` that
-    covers ``_BLOCK`` bits of lane starts plus the most bits one lane can
-    hop.  It is rebuilt at the first lane that starts past that span, so no
-    hop indexes past it or needs a test.  A lane that ends past
+    Returns the start bit of each sub-lane, as a compact ``array('q')`` (a
+    forged header may declare any size), and the bit where the stream
+    ends.  Each lane runs ``q += P[q]`` per element through a
+    :func:`_hop_table` ``P`` that covers ``_BLOCK`` bits of lane starts
+    plus the most bits one lane can hop (64 * (7 + 127) = 8,576 at most).
+    It is rebuilt at the first lane that starts past that span, so no hop
+    indexes past it or needs a test.  A lane that ends past
     ``buf.bit_len`` may have read past the stream, so ``_hop`` walks it and
     every later lane again, one sub-lane at a time, and raises
-    CorruptStream where a prefix runs past the end; ``_hop`` also walks
-    every lane when one lane can hop more bits than a block holds.
-    CorruptStream is raised, too, if the last payload runs past the end.
+    CorruptStream where a prefix runs past the end.  CorruptStream is
+    raised, too, if the last payload runs past the end.
     """
     limit = buf.bit_len
-    sub = gcd(stride, _SUBLANE)
-    reach = min(stride, n) * (k + (1 << k) - 1)  # the most bits one lane can hop
-    hops = (None,) * sub  # one prebuilt tuple: a fresh ``repeat`` per sub-lane is slower
-    # the hops of each sub-lane of a whole lane and of a short last one, if the table walks them
-    tabled = (min(stride, n), n % stride) if reach <= _BLOCK else (0, 0)
-    full, short = ([hops[: m - f] for f in range(0, m, sub)] for m in tabled)
+    reach = min(_STRIDE, n) * (k + (1 << k) - 1)  # the most bits one lane can hop
+    hops = (None,) * _SUBLANE  # one prebuilt tuple: a fresh ``repeat`` per sub-lane is slower
+    # the hops of each sub-lane of a whole lane and of a short last one
+    full, short = (
+        [hops[: m - f] for f in range(0, m, _SUBLANE)] for m in (min(_STRIDE, n), n % _STRIDE)
+    )
     starts = array("q")
     append = starts.append
     pos = base = span = first = 0
     table = b""
-    while reach <= _BLOCK and first < n:
+    while first < n:
         q = pos - base
         if q >= span:
             base, q = pos & ~7, pos & 7
             span = min(_BLOCK, limit + 1 - base)  # no valid lane starts past bit ``limit``
             table = _hop_table(buf.words, base, span + reach, k)
-        for sub_hops in full if n - first >= stride else short:
+        for sub_hops in full if n - first >= _STRIDE else short:
             append(base + q)
             for _ in sub_hops:
                 q += table[q]
         if base + q > limit:
             break  # the lane read past the stream: ``_hop`` walks it again below, and raises
         pos = base + q
-        first += stride
+        first += _STRIDE
     if first < n:
         words = buf.words.tolist()
-        for first in range(first, n, sub):
+        for first in range(first, n, _SUBLANE):
             starts.append(pos)
-            pos = _hop(words, pos, min(sub, n - first), k, limit)
+            pos = _hop(words, pos, min(_SUBLANE, n - first), k, limit)
     if pos > limit:
         raise CorruptStream("payload runs past end of stream")
     return starts, pos
@@ -171,22 +171,17 @@ def _read(words: list[int], pos: int, width: int) -> int:
     return ((words[w] | words[w + 1] << WORD_BITS) >> (pos & 63)) & ((1 << width) - 1)
 
 
-def _directory(heads: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray]:
+def _directory(heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The checkpoints and offsets of sub-lanes that start at bits ``heads``.
 
-    ``heads`` holds one int64 start per sub-lane of ``gcd(stride, 8)``
-    elements.  An element holds at most a 7-bit prefix and a 64-bit
-    payload, so the offsets take the smallest unsigned dtype that holds
-    ``(stride - 1) * 71``.  They are cast to it unchecked, so a forged
-    stream whose prefixes exceed 64 bits can wrap one.  A wrapped offset
-    cannot pass the decoder: it points before where its sub-lane starts,
-    so the seam check fails at the first wrapped sub-lane.
+    ``heads`` holds one int64 start per sub-lane.  A sub-lane starts at
+    most 56 elements into its lane, and a walked element hops at most
+    7 + 127 bits, so every offset, even of a forged stream, is at most
+    7,504 and fits uint16.
     """
-    per = stride // gcd(stride, _SUBLANE)  # sub-lanes per lane
-    checkpoints = heads[::per].copy()  # a view would keep ``heads`` alive
-    lane_starts = checkpoints[np.arange(heads.size) // per]
-    dtype = np.min_scalar_type((stride - 1) * (7 + WORD_BITS))
-    offsets = np.subtract(heads, lane_starts, dtype=dtype, casting="unsafe")
+    checkpoints = heads[::_PER].copy()  # a view would keep ``heads`` alive
+    lane_starts = checkpoints[np.arange(heads.size) // _PER]
+    offsets = np.subtract(heads, lane_starts, dtype=np.uint16, casting="unsafe")
     return checkpoints, offsets
 
 
@@ -211,21 +206,16 @@ class VlbMatrix:
     """Matrix packed as (bit-length prefix, payload) pairs.
 
     ``checkpoints`` is an int64 array with one entry per lane.  Lane
-    ``i`` holds the ``stride`` elements from element ``i * stride`` on,
-    in unravel order (the last lane may hold fewer), and
-    ``checkpoints[i]`` is the bit where its first element starts.
-    ``offsets`` holds one entry per sub-lane of ``sub = gcd(stride, 8)``
-    elements: sub-lane ``s`` starts ``offsets[s]`` bits after the
-    checkpoint of its lane, so the sub-lane at a lane's start holds 0.
-    Its dtype is the smallest unsigned type that holds
-    ``(stride - 1) * 71``, the most bits a lane can hold before its last
-    element: uint16 at the default stride.  Element indexes follow from
-    the lane and sub-lane, so they are not stored.
+    ``i`` holds the 64 elements from element ``64 * i`` on, in unravel
+    order (the last lane may hold fewer), and ``checkpoints[i]`` is the
+    bit where its first element starts.  ``offsets`` is a uint16 array
+    with one entry per sub-lane of 8 elements: sub-lane ``s`` starts
+    ``offsets[s]`` bits after the checkpoint of its lane, so the sub-lane
+    at a lane's start holds 0.  Element indexes follow from the lane and
+    sub-lane, so they are not stored.
     """
 
-    __slots__ = (
-        "rows", "cols", "k", "order", "stride", "sub", "data", "checkpoints", "offsets", "_loaded"
-    )
+    __slots__ = ("rows", "cols", "k", "order", "data", "checkpoints", "offsets", "_loaded")
 
     def __init__(
         self,
@@ -233,7 +223,6 @@ class VlbMatrix:
         cols: int,
         k: int,
         order: str,
-        stride: int,
         data: BitBuffer,
         checkpoints: np.ndarray,
         offsets: np.ndarray,
@@ -242,20 +231,13 @@ class VlbMatrix:
         self.cols = cols
         self.k = k
         self.order = check_order(order)
-        self.stride = stride
-        self.sub = gcd(stride, _SUBLANE)
         self.data = data
         self.checkpoints = checkpoints
         self.offsets = offsets
         self._loaded = None  # elements decoded by from_buffer, until values() takes them
 
     @classmethod
-    def compress(
-        cls,
-        dense,
-        order: str = ROW_MAJOR,
-        checkpoint_stride: int = DEFAULT_CHECKPOINT_STRIDE,
-    ) -> "VlbMatrix":
+    def compress(cls, dense, order: str = ROW_MAJOR) -> "VlbMatrix":
         """Pack a dense non-negative integer matrix in ``order``.
 
         ``k`` is the bit-length of the largest bit-length ``b``.  When
@@ -266,8 +248,6 @@ class VlbMatrix:
         payloads.  The bits are the same either way.  The checkpoints and
         sub-lane offsets are taken from the element starts (:func:`_directory`).
         """
-        if checkpoint_stride < 1:
-            raise ValueError("checkpoint_stride must be >= 1")
         rows, cols, flat = dense_to_flat(dense, order)
         lengths = bit_lengths(flat)
         top = int(lengths.max())
@@ -286,19 +266,10 @@ class VlbMatrix:
             pack_fields(data.words, starts + k, lengths, flat)
             del lengths
         del sizes
-        directory = _directory(starts[:: gcd(checkpoint_stride, _SUBLANE)], checkpoint_stride)
-        return cls(rows, cols, k, order, checkpoint_stride, data, *directory)
+        return cls(rows, cols, k, order, data, *_directory(starts[::_SUBLANE]))
 
     @classmethod
-    def from_buffer(
-        cls,
-        rows: int,
-        cols: int,
-        k: int,
-        order: str,
-        buf: BitBuffer,
-        checkpoint_stride: int = DEFAULT_CHECKPOINT_STRIDE,
-    ) -> "VlbMatrix":
+    def from_buffer(cls, rows: int, cols: int, k: int, order: str, buf: BitBuffer) -> "VlbMatrix":
         """Adopt a raw packed buffer, walking it to rebuild the directory.
 
         The walk (:func:`_walk`) only hops prefixes, through a table read
@@ -317,16 +288,14 @@ class VlbMatrix:
         :meth:`values` call takes them, so loading and then decoding a
         stream decodes it once.
         """
-        if checkpoint_stride < 1:
-            raise ValueError("checkpoint_stride must be >= 1")
-        heads, pos = _walk(buf, rows * cols, k, checkpoint_stride)
+        heads, pos = _walk(buf, rows * cols, k)
         if buf.words.size != -(-pos // WORD_BITS) + 1:
             raise CorruptStream("payload longer than the encoded stream")
         buf.bit_len = pos
         buf.check_padding()
-        directory = _directory(np.frombuffer(heads, dtype=np.int64), checkpoint_stride)
+        directory = _directory(np.frombuffer(heads, dtype=np.int64))
         del heads
-        m = cls(rows, cols, k, order, checkpoint_stride, buf, *directory)
+        m = cls(rows, cols, k, order, buf, *directory)
         m._loaded = m._decode()
         return m
 
@@ -334,8 +303,7 @@ class VlbMatrix:
         """Decode one element, hopping prefixes from the start of its sub-lane.
 
         The sub-lane starts ``offsets[s]`` bits after its lane's
-        checkpoint, so at most ``sub - 1`` prefixes (7 at the default
-        stride) lie between it and the element.  It ends where the next
+        checkpoint, so at most 7 prefixes lie between it and the element.  It ends where the next
         sub-lane starts, or at the end of the stream for the last one;
         ``_hop`` raises CorruptStream past that end.  Hops, prefix and
         payload all read one list of Python ints: the words of that
@@ -344,17 +312,15 @@ class VlbMatrix:
         idx = unravel_index(i, j, self.rows, self.cols, self.order)
         offs = self.offsets
         cps = self.checkpoints
-        sub = self.sub
-        per = self.stride // sub  # sub-lanes per lane
-        s = idx // sub
-        pos = cps.item(s // per) + offs.item(s)
+        s = idx // _SUBLANE
+        pos = cps.item(s // _PER) + offs.item(s)
         end = self.data.bit_len
         if s + 1 < offs.size:
-            end = cps.item((s + 1) // per) + offs.item(s + 1)
+            end = cps.item((s + 1) // _PER) + offs.item(s + 1)
         w0 = pos >> 6
         words = self.data.words[w0 : (end >> 6) + 2].tolist()
         k = self.k
-        pos = _hop(words, pos & 63, idx - s * sub, k, end - (w0 << 6))
+        pos = _hop(words, pos & 63, idx - s * _SUBLANE, k, end - (w0 << 6))
         return _read(words, pos + k, _read(words, pos, k))
 
     def values(self) -> np.ndarray:
@@ -368,7 +334,7 @@ class VlbMatrix:
         Sub-lanes are decoded in blocks of ``_GROUP``, whose starts are the
         only ones held at a time.  All sub-lanes of a block hop one element
         per vectorised step, reading prefixes and storing element starts
-        (``sub`` steps per block).  A pass over groups of whole sub-lanes
+        (8 steps per block).  A pass over groups of whole sub-lanes
         then takes each prefix as the gap to the next start in its
         sub-lane, raises CorruptStream on a prefix or payload past the end
         of the stream or a prefix that is 0, above 64 or not the bit-length
@@ -383,36 +349,33 @@ class VlbMatrix:
         words = self.data.words
         cps = self.checkpoints
         offs = self.offsets
-        sub = self.sub
-        per = self.stride // sub  # sub-lanes per lane
-        if offs[::per].any():
+        if offs[::_PER].any():
             raise CorruptStream("a sub-lane at the start of its lane has a nonzero offset")
-        lanes = -(-n // sub)
+        lanes = -(-n // _SUBLANE)
         out = np.empty(n, dtype=np.uint64)
         cap = max(limit - k, 0)  # where a corrupt sub-lane hops past the end, the checks below fail
-        group = max(1, _GROUP // sub) * sub
         for s0 in range(0, lanes, _GROUP):
             s1 = min(s0 + _GROUP, lanes)
-            lane_pos = cps[np.arange(s0, s1) // per]
+            lane_pos = cps[np.arange(s0, s1) // _PER]
             lane_pos += offs[s0:s1]
-            after = cps.item(s1 // per) + offs.item(s1) if s1 < lanes else limit
-            e0, e1 = s0 * sub, min(s1 * sub, n)
+            after = cps.item(s1 // _PER) + offs.item(s1) if s1 < lanes else limit
+            e0, e1 = s0 * _SUBLANE, min(s1 * _SUBLANE, n)
             block = out[e0:e1]
-            last_len = e1 - (s1 - 1) * sub  # elements in the block's last sub-lane
-            for t in range(min(sub, e1 - e0)):
+            last_len = e1 - (s1 - 1) * _SUBLANE  # elements in the block's last sub-lane
+            for t in range(min(_SUBLANE, e1 - e0)):
                 pos = lane_pos[: s1 - s0 if t < last_len else s1 - s0 - 1]
-                block[t::sub] = pos
+                block[t::_SUBLANE] = pos
                 b = unpack_fields(words, np.minimum(pos, cap), k)
                 pos += k
                 pos += b.view(np.int64)
-            # block[sub::sub] still holds where each sub-lane but the first starts
-            nxt = block[sub::sub].view(np.int64)
+            # block[8::8] still holds where each sub-lane but the first starts
+            nxt = block[_SUBLANE::_SUBLANE].view(np.int64)
             seams = lane_pos.item(-1) == after and (lane_pos[:-1] == nxt).all()
-            for a in range(0, e1 - e0, group):
-                pos = block[a : a + group].view(np.int64)
-                ends = lane_pos[a // sub : (a + group) // sub]
+            for a in range(0, e1 - e0, _GROUP):
+                pos = block[a : a + _GROUP].view(np.int64)
+                ends = lane_pos[a // _SUBLANE : (a + _GROUP) // _SUBLANE]
                 b = np.append(pos[1:], ends[-1])  # where the next element of the sub-lane starts
-                b[sub - 1 :: sub] = ends[: b.size // sub]
+                b[_SUBLANE - 1 :: _SUBLANE] = ends[: b.size // _SUBLANE]
                 b -= pos
                 b -= k
                 if ends.max() > limit or b.min() < 1 or b.max() > WORD_BITS:
@@ -421,7 +384,7 @@ class VlbMatrix:
                 # (v | 1) >> (b - 1) is 0 where a payload wider than 1 bit lacks its top bit
                 if ((v | 1) >> (b - 1).view(np.uint64)).min() == 0:
                     raise _corrupt(pos, b, k, limit, v)
-                block[a : a + group] = v
+                block[a : a + _GROUP] = v
             if not seams:
                 raise CorruptStream("a checkpoint lane does not end where the next one starts")
         top = bit_length(int(out.max()))  # the largest prefix, as payloads are canonical

@@ -1,10 +1,21 @@
-import math
-
 import numpy as np
 import pytest
 
 from ccmatrix.bitstream import U64_MAX, WORD_BITS, BitBuffer, bit_length
 from ccmatrix.errors import CorruptStream, ParseError
+
+# Element counts around the VLB directory's lanes of 64 and sub-lanes of 8:
+# one short sub-lane (1, 3, 7), one whole sub-lane (8), a short last
+# sub-lane (9, 63, 65, 127, 129), whole lanes (64, 128) and a short last
+# lane of whole sub-lanes (200, 1000).
+SIZES = (1, 3, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200, 1000)
+
+
+def shape_of(n):
+    """The squarest (rows, cols) of ``n`` elements, so row and column order differ."""
+    rows = max(d for d in range(1, int(n**0.5) + 1) if n % d == 0)
+    return rows, n // rows
+
 
 # First row of the worked example used throughout the docs and tests.
 WORKED_ROW = [900, 1023, 721, 256, 1, 10, 700, 20]
@@ -57,21 +68,20 @@ def scalar_decode(m):
     Walks the stream from the first checkpoint and raises CorruptStream
     where the stream is not the canonical encoding of its elements: a
     prefix or payload past ``bit_len``, a prefix outside 1..64 or not the
-    bit-length of its payload, a checkpoint that is not where its element
-    starts, a sub-lane offset of ``gcd(stride, 8)`` elements that does not
-    lead from its lane's checkpoint to where its element starts, a stream
-    that does not end at ``bit_len``, or a ``k`` that is not the
-    bit-length of the largest prefix.
+    bit-length of its payload, a checkpoint (one per 64 elements) that is
+    not where its element starts, a sub-lane offset (one per 8 elements)
+    that does not lead from its lane's checkpoint to where its element
+    starts, a stream that does not end at ``bit_len``, or a ``k`` that is
+    not the bit-length of the largest prefix.
     """
-    data, k, stride = m.data, m.k, m.stride
-    sub = math.gcd(stride, 8)
+    data, k = m.data, m.k
     pos = int(m.checkpoints[0])
     values = []
     for i in range(m.rows * m.cols):
-        if i % stride == 0 and pos != m.checkpoints[i // stride]:
-            raise CorruptStream(f"checkpoint {i // stride} is not where element {i} starts")
-        if i % sub == 0 and pos != int(m.checkpoints[i // stride]) + int(m.offsets[i // sub]):
-            raise CorruptStream(f"sub-lane offset {i // sub} is not where element {i} starts")
+        if i % 64 == 0 and pos != m.checkpoints[i // 64]:
+            raise CorruptStream(f"checkpoint {i // 64} is not where element {i} starts")
+        if i % 8 == 0 and pos != int(m.checkpoints[i // 64]) + int(m.offsets[i // 8]):
+            raise CorruptStream(f"sub-lane offset {i // 8} is not where element {i} starts")
         if pos + k > data.bit_len:
             raise CorruptStream(f"prefix of element {i} runs past end of stream")
         b = data.read_field(pos, k)
@@ -89,19 +99,18 @@ def scalar_decode(m):
     return values
 
 
-def reference_walk(buf, n, k, stride):
+def reference_walk(buf, n, k):
     """Reference sub-lane walk: one shift and mask per prefix over a list of words.
 
-    Returns the start bit of every ``gcd(stride, 8)``-th element and the
+    Returns the start bit of every 8th element and the
     bit where ``n`` elements end, or raises CorruptStream where a prefix,
     or the last payload, runs past ``buf.bit_len``.
     """
     limit = buf.bit_len
     words = buf.words.tolist()
-    sub = math.gcd(stride, 8)
     starts, pos = [], 0
     for i in range(n):
-        if i % sub == 0:
+        if i % 8 == 0:
             starts.append(pos)
         if pos > limit - k:
             raise CorruptStream("prefix runs past end of stream")

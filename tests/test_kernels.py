@@ -4,7 +4,6 @@ The reference throughout is the single-field path,
 ``BitBuffer.write_field``/``read_field``, one field at a time.
 """
 
-import math
 import re
 import tracemalloc
 from random import Random
@@ -28,9 +27,17 @@ from ccmatrix import vlb
 from ccmatrix.errors import CorruptStream, FieldOverflow
 from ccmatrix.genmat import Uniform, sample_matrix
 from ccmatrix.sm import SmMatrix
-from ccmatrix.vlb import _BLOCK, VlbMatrix, _walk
+from ccmatrix.vlb import _BLOCK, VlbMatrix, _directory, _walk
 
-from conftest import count_calls, element_starts, encode_reference, reference_walk, scalar_decode
+from conftest import (
+    SIZES,
+    count_calls,
+    element_starts,
+    encode_reference,
+    reference_walk,
+    scalar_decode,
+    shape_of,
+)
 
 # (gap before the field, width, value): gaps up to 63 put fields at every offset
 field = st.tuples(st.integers(0, 63), st.integers(1, 64)).flatmap(
@@ -113,8 +120,8 @@ def test_sm_from_values_rejects_bad_values():
 largest = st.integers(1, 64).flatmap(lambda b: st.integers((1 << b) >> 1, (1 << b) - 1))
 
 
-@pytest.mark.parametrize("stride", [1, 3, 64, 200])
-@pytest.mark.parametrize("offset", [-1, 0, 1, "below"])
+@pytest.mark.parametrize("size", [1, 3, 8, 64, 128, 200])
+@pytest.mark.parametrize("offset", [-1, 0, 1, "below"])  # below: one sub-lane fewer
 @given(rnd=st.randoms(), top=largest, wide=st.booleans())
 @example(rnd=Random(1), top=0, wide=False)
 @example(rnd=Random(2), top=2**57 - 1, wide=False)  # bit-length 57, k 6: one field
@@ -122,50 +129,51 @@ largest = st.integers(1, 64).flatmap(lambda b: st.integers((1 << b) >> 1, (1 << 
 @example(rnd=Random(4), top=2**58, wide=True)  # bit-length 59, k 6: two calls
 @example(rnd=Random(5), top=U64_MAX, wide=True)  # bit-length 64, k 7: two calls
 @settings(max_examples=25)
-def test_vlb_lanes_match_single_field_path(stride, offset, rnd, top, wide):
-    n = 1 if offset == "below" else max(1, stride + offset)
+def test_vlb_lanes_match_single_field_path(size, offset, rnd, top, wide):
+    n = max(1, size - 8 if offset == "below" else size + offset)
     lo = 2**57 if wide and top >= 2**57 else 0  # wide: every element is 2**57 or more
     values = [rnd.randint(lo, top) for _ in range(n)]
     values[rnd.randrange(n)] = top
     with patch.object(vlb, "pack_fields", wraps=vlb.pack_fields) as packs:
-        m = VlbMatrix.compress([values], checkpoint_stride=stride)
+        m = VlbMatrix.compress([values])
     k = bit_length(bit_length(top))
     # one field per element when the widest fits a word with its prefix
     assert packs.call_count == (1 if bit_length(top) + k <= WORD_BITS else 2)
     assert m.k == k and m.data == encode_reference(values, k)
     starts = element_starts(values, k)
-    assert m.checkpoints.tolist() == starts[::stride]
+    assert m.checkpoints.tolist() == starts[::64]
+    assert m.offsets.tolist() == [starts[e] - starts[e - e % 64] for e in range(0, n, 8)]
     assert m.values().tolist() == values
     raw = BitBuffer.from_bytes(m.data.to_bytes(), 64 * m.data.word_count)
-    again = VlbMatrix.from_buffer(1, n, k, "row", raw, checkpoint_stride=stride)
+    again = VlbMatrix.from_buffer(1, n, k, "row", raw)
     assert again == m and np.array_equal(again.checkpoints, m.checkpoints)
     assert np.array_equal(again.offsets, m.offsets)
     for cps in (m.checkpoints, again.checkpoints):  # one int64 start bit per lane, no views
         assert cps.dtype == np.int64 and cps.base is None
-        assert len(cps) == -(-n // stride)
+        assert len(cps) == -(-n // 64)
 
 
-STRIDE = 4
+LANE = 64
 
 
 def three_lanes(big=False):
-    values = [900, 1023, 721, 256, 1, 10, 700, 20, 5, 3, 2, 77]
+    values = [900, 1023, 721, 256, 1, 10, 700, 20, 5, 3, 2, 77] * 16  # 3 lanes of 64
     if big:
         values[-1] = 2**63  # prefix width 7, so prefixes up to 127 can be stored
-    m = VlbMatrix.compress([values], checkpoint_stride=STRIDE)
+    m = VlbMatrix.compress([values])
     return m, element_starts(values, m.k)
 
 
 def test_lane_decoder_rejects_zero_prefix_in_middle_lane():
     m, starts = three_lanes()
-    m.data.write_field(starts[STRIDE + 1], m.k, 0)
+    m.data.write_field(starts[LANE + 1], m.k, 0)
     with pytest.raises(CorruptStream, match="zero length prefix"):
         m.values()
 
 
 def test_lane_decoder_rejects_prefix_above_64():
     m, starts = three_lanes(big=True)
-    m.data.write_field(starts[STRIDE + 2], m.k, 100)
+    m.data.write_field(starts[LANE + 2], m.k, 100)
     with pytest.raises(CorruptStream, match="exceeds 64 bits"):
         m.values()
 
@@ -190,13 +198,13 @@ def test_lane_decoder_rejects_truncated_last_lane():
 )
 def test_lane_decoder_rejects_non_canonical_stream(k, word, bit_len, match):
     buf = BitBuffer.from_bytes(word.to_bytes(8, "little"), bit_len)
-    m = VlbMatrix(1, 1, k, "row", STRIDE, buf, np.zeros(1, np.int64), np.zeros(1, np.uint8))
+    m = VlbMatrix(1, 1, k, "row", buf, np.zeros(1, np.int64), np.zeros(1, np.uint16))
     with pytest.raises(CorruptStream, match=match):
         m.values()
 
 
 def test_lane_decoder_rejects_lane_hopping_past_the_last_word():
-    m = VlbMatrix.compress([[3] * 16], checkpoint_stride=STRIDE)  # 16 x 4 bits: one full word
+    m = VlbMatrix.compress([[3] * 3 * LANE])  # 192 x 4 bits: 12 full words
     m.checkpoints[-1] += 4  # the last lane starts one element late
     with pytest.raises(CorruptStream, match="prefix runs past end"):
         m.values()
@@ -204,9 +212,11 @@ def test_lane_decoder_rejects_lane_hopping_past_the_last_word():
 
 def test_lane_decoder_rejects_checkpoint_seam_mismatch():
     m, starts = three_lanes()
-    # Lane 1 now starts one element late: every element it reads is well
-    # formed, but lane 0 no longer ends where lane 1 starts.
-    m.checkpoints[1] = starts[STRIDE + 1]
+    # Lane 1 and each of its sub-lanes now start one element late: every
+    # element they read is well formed, but lane 0 no longer ends where
+    # lane 1 starts.
+    m.checkpoints[1] = starts[LANE + 1]
+    m.offsets[8:16] = [starts[LANE + 1 + f] - starts[LANE + 1] for f in range(0, LANE, 8)]
     with pytest.raises(CorruptStream, match="checkpoint lane"):
         m.values()
 
@@ -221,9 +231,9 @@ def test_lane_decoder_rejects_stream_ending_before_bit_len():
 
 
 def test_lane_decoder_rejects_nonzero_offset_at_a_lane_start():
-    m, _ = three_lanes()  # stride 4: one sub-lane per lane
+    m, _ = three_lanes()
     m.checkpoints[1] -= 1
-    m.offsets[1] += 1  # the sub-lane still starts where it did
+    m.offsets[8:16] += 1  # the sub-lanes of lane 1 still start where they did
     with pytest.raises(CorruptStream, match="nonzero offset"):
         m.values()
     with pytest.raises(CorruptStream, match="checkpoint 1 is not where"):
@@ -233,7 +243,7 @@ def test_lane_decoder_rejects_nonzero_offset_at_a_lane_start():
 @pytest.mark.parametrize("loaded", [False, True], ids=["compressed", "loaded"])
 def test_decoding_a_small_matrix_reads_fields_nine_times(monkeypatch, loaded):
     dense = sample_matrix(Uniform(1, 64), 20, 20, 5)
-    m = VlbMatrix.compress(dense)  # stride 64: 50 sub-lanes of 8 elements, one block
+    m = VlbMatrix.compress(dense)  # 50 sub-lanes of 8 elements, one block
     raw = BitBuffer.from_bytes(m.data.to_bytes(), 64 * m.data.word_count)
     reads = count_calls(monkeypatch, vlb, "unpack_fields")
     if loaded:  # the load decodes, and values() returns what it decoded
@@ -249,15 +259,16 @@ def decoded_or_rejected(decode):
         return CorruptStream
 
 
-def random_vlb(data, stride, order):
-    """A VLB matrix of random or periodic elements, and its elements in stream order."""
-    r, c = data.draw(st.integers(1, 20)), data.draw(st.integers(1, 20))
+def random_vlb(data, size, order):
+    """A VLB matrix of ``size`` random or periodic elements, and its elements in stream order."""
+    r = data.draw(st.sampled_from([d for d in range(1, size + 1) if size % d == 0]))
+    c = size // r
     rnd = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     shifts = rnd.integers(0, data.draw(st.integers(1, 64)), size=r * c, dtype=np.uint64)
     if data.draw(st.booleans()):  # periodic: a short pattern repeated across lanes
         shifts = np.resize(shifts[: data.draw(st.integers(1, 5))], r * c)
     values = rnd.integers(0, 2**64, size=r * c, dtype=np.uint64) >> (63 - shifts)
-    m = VlbMatrix.compress(values.reshape(r, c), order, stride)
+    m = VlbMatrix.compress(values.reshape(r, c), order)
     clean = scalar_decode(m)
     assert m.data == encode_reference(clean, m.k) and m.values().tolist() == clean
     return m, clean
@@ -269,11 +280,11 @@ corruption = st.tuples(
 
 
 @pytest.mark.parametrize("order", ["row", "col"])
-@pytest.mark.parametrize("stride", [1, 3, 64, 200])
+@pytest.mark.parametrize("size", SIZES)
 @given(data=st.data(), edits=st.lists(corruption, max_size=3))
 @settings(max_examples=60)
-def test_decoder_matches_scalar_reference(stride, order, data, edits):
-    m, clean = random_vlb(data, stride, order)
+def test_decoder_matches_scalar_reference(size, order, data, edits):
+    m, clean = random_vlb(data, size, order)
     starts = element_starts(clean, m.k)
     for kind, at, value in edits:
         bits = m.data.bit_len
@@ -284,7 +295,7 @@ def test_decoder_matches_scalar_reference(stride, order, data, edits):
             cps, offs = m.checkpoints, m.offsets
             if value & 128:
                 s = at % len(offs)
-                lane_start = int(cps[s * m.sub // m.stride])
+                lane_start = int(cps[s // 8])
                 pos = lane_start + int(offs[s])
             else:
                 lane = at % len(cps)
@@ -358,20 +369,21 @@ def test_compress_memory_does_not_grow_at_scale(dist, bound):
     assert peak <= bound * 2**20  # the peak of packing prefixes and payloads by two calls
 
 
-def walked_or_rejected(walk, buf, n, k, stride):
+def walked_or_rejected(walk, buf, n, k):
     try:
-        starts, end = walk(buf, n, k, stride)
+        starts, end = walk(buf, n, k)
     except CorruptStream as exc:
         return str(exc)
     return list(starts), end
 
 
+# each stream holds a given number of elements; three-blocks puts 128 whole lanes before them
 WALK_STREAMS = {
-    "uniform-1-64": lambda: sample_matrix(Uniform(1, 64), 9, 23, 1),
-    "uniform-1-8": lambda: sample_matrix(Uniform(1, 8), 9, 23, 2),
-    "equal-lengths": lambda: sample_matrix(Uniform(40, 40), 9, 23, 3),
-    "all-ones": lambda: np.ones((9, 23), dtype=np.uint64),
-    "three-blocks": lambda: sample_matrix(Uniform(1, 64), 100, 100, 4),  # table rebuilt twice
+    "uniform-1-64": lambda n: sample_matrix(Uniform(1, 64), *shape_of(n), 1),
+    "uniform-1-8": lambda n: sample_matrix(Uniform(1, 8), *shape_of(n), 2),
+    "equal-lengths": lambda n: sample_matrix(Uniform(40, 40), *shape_of(n), 3),
+    "all-ones": lambda n: np.ones(shape_of(n), dtype=np.uint64),
+    "three-blocks": lambda n: sample_matrix(Uniform(1, 64), 1, 128 * 64 + n, 4),  # 2 rebuilds
 }
 
 
@@ -395,40 +407,38 @@ def walk_input(m, starts, kind, e):
     return buf
 
 
-# at stride 1000 a k = 7 lane can hop past one table block, so _hop walks every lane
-@pytest.mark.parametrize("stride", [1, 3, 64, 200, 1000])
+@pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("stream", sorted(WALK_STREAMS))
 @pytest.mark.parametrize(
     "kind",
     ["none", "zero-prefix", "max-prefixes", "cut-mid-prefix", "cut-mid-payload", "trailing-word"],
 )
-def test_walk_matches_reference_walk(stride, stream, kind):
-    dense = WALK_STREAMS[stream]()
+def test_walk_matches_reference_walk(size, stream, kind):
+    dense = WALK_STREAMS[stream](size)
     rows, cols = dense.shape
     n = dense.size
-    m = VlbMatrix.compress(dense, checkpoint_stride=stride)
+    m = VlbMatrix.compress(dense)
     if stream == "three-blocks":
         assert m.bits_used > 2 * _BLOCK
     starts = element_starts(dense.ravel().tolist(), m.k)
-    per = stride // m.sub  # sub-lanes per lane
-    heads = [int(m.checkpoints[s // per] + m.offsets[s]) for s in range(m.offsets.size)]
+    heads = [int(m.checkpoints[s // 8] + m.offsets[s]) for s in range(m.offsets.size)]
     for e in (0, n // 2, n - 1):
-        want = walked_or_rejected(reference_walk, walk_input(m, starts, kind, e), n, m.k, stride)
-        got = walked_or_rejected(_walk, walk_input(m, starts, kind, e), n, m.k, stride)
+        want = walked_or_rejected(reference_walk, walk_input(m, starts, kind, e), n, m.k)
+        got = walked_or_rejected(_walk, walk_input(m, starts, kind, e), n, m.k)
         assert got == want, e
         if kind in ("none", "trailing-word"):
-            assert want == (heads, m.bits_used) and heads == starts[:: m.sub]
+            assert want == (heads, m.bits_used) and heads == starts[::8]
         if isinstance(want, str):  # from_buffer raises the walk's error, as it did
             buf = walk_input(m, starts, kind, e)
             with pytest.raises(CorruptStream, match=re.escape(want)):
-                VlbMatrix.from_buffer(rows, cols, m.k, "row", buf, checkpoint_stride=stride)
+                VlbMatrix.from_buffer(rows, cols, m.k, "row", buf)
 
 
-@pytest.mark.parametrize("stride", [1, 3, 64, 200])
+@pytest.mark.parametrize("size", SIZES)
 @given(data=st.data(), flips=st.lists(st.integers(0, 2**16), max_size=4), cut=st.integers(0, 2**16))
 @settings(max_examples=40)
-def test_walk_matches_reference_walk_on_random_edits(stride, data, flips, cut):
-    m, _ = random_vlb(data, stride, "row")
+def test_walk_matches_reference_walk_on_random_edits(size, data, flips, cut):
+    m, _ = random_vlb(data, size, "row")
     n = m.rows * m.cols
     buf = BitBuffer.from_bytes(m.data.to_bytes(), 64 * m.data.word_count)
     for i in flips:
@@ -436,20 +446,25 @@ def test_walk_matches_reference_walk_on_random_edits(stride, data, flips, cut):
         buf.words[i >> 6] ^= np.uint64(1 << (i & 63))
     if cut & 1:
         buf.bit_len -= (cut >> 1) % (buf.bit_len + 1)
-    want = walked_or_rejected(reference_walk, buf, n, m.k, stride)
-    assert walked_or_rejected(_walk, buf, n, m.k, stride) == want
+    want = walked_or_rejected(reference_walk, buf, n, m.k)
+    assert walked_or_rejected(_walk, buf, n, m.k) == want
 
 
-@pytest.mark.parametrize("stride, offset_dtype", [(64, np.uint16), (512, np.uint16), (1000, np.uint32)])
+@pytest.mark.parametrize("stride, offset_dtype", [(64, np.uint16)])
 def test_walked_offsets_that_wrap_are_rejected(stride, offset_dtype):
-    # 600 elements whose 7-bit prefixes all read 127.  At stride 512 the
-    # walk puts the last sub-lanes of lane 0 more than 65535 bits past its
-    # checkpoint, so their uint16 offsets wrap before the decoder runs.
+    # 600 elements whose 7-bit prefixes all read 127: each walked element
+    # hops the most bits it can, so the last sub-lane of each lane starts
+    # 56 * (7 + 127) = 7,504 bits past its checkpoint.  At the one fixed
+    # geometry that fits the offset dtype, so no offset wraps, and the
+    # stream is still rejected.
+    assert (vlb._STRIDE, vlb._SUBLANE) == (stride, 8)
     bits = 600 * (7 + 127)
     blob = ((1 << bits) - 1).to_bytes(-(-bits // 64) * 8, "little")
-    heads, _ = _walk(BitBuffer.from_bytes(blob, bits), 600, 7, stride)
-    per = stride // math.gcd(stride, 8)
-    widest = max(h - heads[s - s % per] for s, h in enumerate(heads))
-    assert (widest > np.iinfo(offset_dtype).max) == (stride == 512)
+    heads, _ = _walk(BitBuffer.from_bytes(blob, bits), 600, 7)
+    per = stride // 8
+    walked = [h - heads[s - s % per] for s, h in enumerate(heads)]
+    assert max(walked) == 56 * (7 + 127) <= np.iinfo(offset_dtype).max
+    offsets = _directory(np.frombuffer(heads, dtype=np.int64))[1]
+    assert offsets.dtype == offset_dtype and offsets.tolist() == walked
     with pytest.raises(CorruptStream, match="length prefix 127 exceeds 64 bits"):
-        VlbMatrix.from_buffer(1, 600, 7, "row", BitBuffer.from_bytes(blob, bits), stride)
+        VlbMatrix.from_buffer(1, 600, 7, "row", BitBuffer.from_bytes(blob, bits))

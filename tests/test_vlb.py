@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +9,15 @@ from ccmatrix.errors import CorruptStream, OutOfBounds
 from ccmatrix.sm import SmMatrix
 from ccmatrix.vlb import VlbMatrix
 
-from conftest import WORKED_ROW, WORKED_ROW_BITLENS, element_starts, encode_reference, scan_get
+from conftest import (
+    SIZES,
+    WORKED_ROW,
+    WORKED_ROW_BITLENS,
+    element_starts,
+    encode_reference,
+    scan_get,
+    shape_of,
+)
 
 
 def test_worked_row_prefix_and_bit_count(worked_row):
@@ -57,53 +63,51 @@ def test_get_out_of_bounds(worked_row):
 
 
 def test_get_matches_dense_and_scan_oracle(rng):
-    # stride 200 > n leaves one lane, whose window ends at bit_len; values
-    # up to U64_MAX give k = 7 and 64-bit payloads straddling words
+    # a single lane ends at bit_len; values up to U64_MAX give k = 7 and
+    # 64-bit payloads straddling words
     for order in ("row", "col"):
-        for stride in (1, 3, 64, 200):
+        for n in SIZES:
+            r, c = shape_of(n)
             for top in (2**40, U64_MAX):
-                dense = rng.integers(0, top, size=(9, 13), dtype=np.uint64, endpoint=True)
-                m = VlbMatrix.compress(dense, order, checkpoint_stride=stride)
+                dense = rng.integers(0, top, size=(r, c), dtype=np.uint64, endpoint=True)
+                dense[0, 0] = top
+                m = VlbMatrix.compress(dense, order)
                 assert m.k == (7 if top == U64_MAX else 6)
-                for i in range(9):
-                    for j in range(13):
-                        assert m.get(i, j) == dense[i, j]
-                        idx = unravel_index(i, j, 9, 13, order)
-                        assert m.get(i, j) == scan_get(m, idx)
-
-
-OFFSET_DTYPES = {1: np.uint8, 3: np.uint8, 8: np.uint16, 64: np.uint16, 200: np.uint16, 1000: np.uint32}
+                for i, j in np.ndindex(r, c):
+                    assert m.get(i, j) == dense[i, j]
+                    assert m.get(i, j) == scan_get(m, unravel_index(i, j, r, c, order))
 
 
 @pytest.mark.parametrize("order", ["row", "col"])
-@pytest.mark.parametrize("stride", sorted(OFFSET_DTYPES))
-def test_get_and_directory_agree_with_values(stride, order):
-    # 851 elements: the last lane is short at every stride but 1
-    rng = np.random.default_rng(stride)
-    dense = rng.integers(0, 2**64, size=(23, 37), dtype=np.uint64)
+@pytest.mark.parametrize("size", SIZES)
+def test_get_and_directory_agree_with_values(size, order):
+    rng = np.random.default_rng(size)
+    r, c = shape_of(size)
+    dense = rng.integers(0, 2**64, size=(r, c), dtype=np.uint64)
     dense >>= rng.integers(0, 64, size=dense.shape, dtype=np.uint64)
-    m = VlbMatrix.compress(dense, order, checkpoint_stride=stride)
+    m = VlbMatrix.compress(dense, order)
     raw = BitBuffer.from_bytes(m.data.to_bytes(), 64 * m.data.word_count)
-    loaded = VlbMatrix.from_buffer(23, 37, m.k, order, raw, checkpoint_stride=stride)
+    loaded = VlbMatrix.from_buffer(r, c, m.k, order, raw)
     flat = m.values().tolist()
     starts = element_starts(flat, m.k)
-    sub = math.gcd(stride, 8)
-    want = [starts[e] - starts[e - e % stride] for e in range(0, len(flat), sub)]
+    want = [starts[e] - starts[e - e % 64] for e in range(0, size, 8)]
     for g in (m, loaded):
-        assert g.offsets.tolist() == want and g.offsets.dtype == OFFSET_DTYPES[stride]
-        for i, j in np.ndindex(23, 37):
-            assert g.get(i, j) == flat[unravel_index(i, j, 23, 37, order)]
+        assert g.checkpoints.tolist() == starts[::64]
+        assert g.offsets.tolist() == want and g.offsets.dtype == np.uint16
+        for i, j in np.ndindex(r, c):
+            assert g.get(i, j) == flat[unravel_index(i, j, r, c, order)]
     assert loaded.values().tolist() == flat
 
 
 def test_checkpoints_start_at_origin_and_increase(rng):
-    dense = rng.integers(0, 2**30, size=(20, 20), dtype=np.uint64)
-    m = VlbMatrix.compress(dense, checkpoint_stride=16)
-    assert m.checkpoints[0] == 0
-    offsets = m.checkpoints.tolist()
-    assert offsets == sorted(offsets)
-    assert len(set(offsets)) == len(offsets)
-    assert len(offsets) == len(range(0, 400, 16))
+    for n in SIZES:
+        dense = rng.integers(0, 2**30, size=shape_of(n), dtype=np.uint64)
+        m = VlbMatrix.compress(dense)
+        assert m.checkpoints[0] == 0
+        offsets = m.checkpoints.tolist()
+        assert offsets == sorted(offsets)
+        assert len(set(offsets)) == len(offsets)
+        assert len(offsets) == len(range(0, n, 64))
 
 
 def test_roundtrip_worked_row(worked_row):
@@ -171,13 +175,16 @@ def test_truncated_stream_detected(worked_row):
         m.values()
 
 
-def test_from_buffer_rebuilds_checkpoints(worked_row):
-    m = VlbMatrix.compress(worked_row, checkpoint_stride=2)
-    raw = BitBuffer.from_bytes(m.data.to_bytes(), 64 * m.data.word_count)
-    again = VlbMatrix.from_buffer(1, 8, m.k, "row", raw, checkpoint_stride=2)
-    assert again.data.bit_len == m.bits_used
-    assert np.array_equal(again.checkpoints, m.checkpoints)
-    assert again == m
+def test_from_buffer_rebuilds_checkpoints(rng):
+    for n in SIZES:
+        r, c = shape_of(n)
+        m = VlbMatrix.compress(rng.integers(0, 2**20, size=(r, c), dtype=np.uint64))
+        raw = BitBuffer.from_bytes(m.data.to_bytes(), 64 * m.data.word_count)
+        again = VlbMatrix.from_buffer(r, c, m.k, "row", raw)
+        assert again.data.bit_len == m.bits_used
+        assert np.array_equal(again.checkpoints, m.checkpoints)
+        assert np.array_equal(again.offsets, m.offsets)
+        assert again == m
 
 
 def test_from_buffer_rejects_words_or_bits_past_the_stream(worked_row):
@@ -192,14 +199,15 @@ def test_from_buffer_rejects_words_or_bits_past_the_stream(worked_row):
 
 
 @given(
-    st.integers(1, 6),
-    st.integers(1, 6),
+    st.integers(1, 20),
+    st.integers(1, 20),
     st.integers(0, 2**64 - 1),
     st.randoms(),
 )
 @settings(max_examples=100)
 def test_roundtrip_property(r, c, top, rnd):
+    # up to 400 elements: one or more lanes, the last one whole or short
     dense = [[rnd.randint(0, top) for _ in range(c)] for _ in range(r)]
-    m = VlbMatrix.compress(dense, checkpoint_stride=rnd.choice([1, 4, 64]))
+    m = VlbMatrix.compress(dense)
     assert m.decompress().tolist() == dense
     assert m.k == bit_length(bit_length(max(max(row) for row in dense)))
