@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .bitstream import U64_MAX
@@ -22,7 +24,10 @@ def unravel_index(i: int, j: int, rows: int, cols: int, order: str) -> int:
     """Position of element (i, j) in the flat unraveling.
 
     Raises OutOfBounds if (i, j) lies outside the rows x cols matrix.
+    Numpy integer indices are taken as Python ints, so the position
+    cannot wrap in a small dtype such as uint8.
     """
+    i, j = operator.index(i), operator.index(j)
     if not (0 <= i < rows and 0 <= j < cols):
         raise OutOfBounds(f"({i}, {j}) outside {rows}x{cols} matrix")
     return i * cols + j if order == ROW_MAJOR else j * rows + i

@@ -4,12 +4,15 @@ Every element is stored in a chunk of ``width`` bits, where ``width`` is
 the bit-length of the largest element at compression time.  Chunks are
 laid out back to back in unravel order, so element access is a single
 O(1) field read (at most two words when the chunk straddles a word
-boundary), and bulk pack/unpack is one vectorised kernel call over the
-chunk positions ``idx * width``.
+boundary).  Bulk pack/unpack is one kernel call over the run
+``range(0, n * width, width)`` of chunk positions, which the kernels work
+through by blocks of whole periods, so no array of ``n`` positions is
+built.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable
 
 import numpy as np
@@ -57,7 +60,7 @@ class SmMatrix:
         if flat.size != n:
             raise ValueError(f"expected {n} values, got {flat.size}")
         data = BitBuffer(n * width)
-        pack_fields(data.words, np.arange(n, dtype=np.int64) * width, width, flat)
+        pack_fields(data.words, range(0, n * width, width), width, flat)
         return cls(rows, cols, width, order, data)
 
     def get(self, i: int, j: int) -> int:
@@ -70,6 +73,7 @@ class SmMatrix:
         The value must fit the existing chunk width; use :meth:`widen`
         first if it does not.
         """
+        value = operator.index(value)
         if bit_length(value) > self.width:
             raise WidthOverflow(
                 f"{value} needs {bit_length(value)} bits, chunk width is {self.width}"
@@ -87,8 +91,8 @@ class SmMatrix:
 
     def values(self) -> np.ndarray:
         """All elements in unravel order, as a uint64 array."""
-        pos = np.arange(self.rows * self.cols, dtype=np.int64) * self.width
-        return unpack_fields(self.data.words, pos, self.width)
+        n = self.rows * self.cols
+        return unpack_fields(self.data.words, range(0, n * self.width, self.width), self.width)
 
     def decompress(self) -> np.ndarray:
         return flat_to_dense(self.values(), self.rows, self.cols, self.order)

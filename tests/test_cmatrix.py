@@ -287,3 +287,12 @@ def test_works_on_numpy_uint64_inputs(rng):
     dense = rng.integers(0, 2**60, size=(5, 5), dtype=np.uint64)
     m = CompressedMatrix.compress(dense, method="vlb")
     assert (m.decompress() == dense).all()
+
+
+@pytest.mark.parametrize("method", ["sm", "vlb"])
+@pytest.mark.parametrize("order", ["row", "col"])
+def test_get_with_uint8_indices_reads_the_right_element(method, order):
+    dense = np.arange(250 * 250, dtype=np.uint64).reshape(250, 250)
+    m = CompressedMatrix.compress(dense, method, order)
+    i, j = np.uint8(200), np.uint8(3)  # 200 * 250 wraps in uint8
+    assert m.get(i, j) == 200 * 250 + 3 and m.get(j, i) == 3 * 250 + 200

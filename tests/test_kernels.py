@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ccmatrix import bitstream
 from ccmatrix.bitstream import (
     U64_MAX,
     WORD_BITS,
@@ -73,6 +74,59 @@ def test_pack_rejects_value_wider_than_field():
     words = np.zeros(2, dtype=np.uint64)
     with pytest.raises(FieldOverflow):
         pack_fields(words, np.array([0, 10]), 10, np.array([5, 1024], dtype=np.uint64))
+
+
+RUN_BLOCK = bitstream._BLOCK  # fields per block of a run
+
+
+def run_of(start, width, count):
+    """Positions of ``count`` back-to-back fields from bit ``start``: a run and an array."""
+    return range(start, start + count * width, width), start + np.arange(count, dtype=np.int64) * width
+
+
+@given(
+    width=st.integers(1, 64),
+    start=st.one_of(st.integers(0, 200), st.integers(0, 3).map(lambda q: 64 * q)),
+    blocks=st.integers(0, 2),
+    periods=st.integers(0, 3),
+    tail=st.integers(0, 63),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(width=7, start=0, blocks=1, periods=0, tail=0, seed=1)  # exactly one block
+@example(width=61, start=3, blocks=1, periods=0, tail=1, seed=2)  # one field past a block
+@example(width=40, start=5, blocks=0, periods=0, tail=0, seed=3)  # no fields
+@example(width=64, start=64, blocks=0, periods=0, tail=5, seed=4)  # a view
+@example(width=8, start=4, blocks=0, periods=3, tail=1, seed=5)  # not a view: start not byte-aligned
+@example(width=7, start=63, blocks=1, periods=1, tail=3, seed=6)  # first field at a word's last bit
+@settings(max_examples=300, deadline=None)
+def test_run_matches_positions(width, start, blocks, periods, tail, seed):
+    per = WORD_BITS // np.gcd(width, WORD_BITS)
+    count = blocks * RUN_BLOCK + periods * per + tail % per
+    values = np.random.default_rng(seed).integers(0, 2**64, count, dtype=np.uint64)
+    values >>= np.uint64(WORD_BITS - width)
+    run, pos = run_of(start, width, count)
+    size = -(-(start + count * width) // WORD_BITS) + 1
+    by_run, by_pos = np.zeros(size, np.uint64), np.zeros(size, np.uint64)
+    pack_fields(by_run, run, width, values)
+    pack_fields(by_pos, pos, width, values)
+    assert np.array_equal(by_run, by_pos)
+    assert np.array_equal(unpack_fields(by_pos, run, width), values)
+    assert np.array_equal(unpack_fields(by_pos, pos, width), values)
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 16, 40, 63])
+@pytest.mark.parametrize("at", ["first", "last-whole-block", "tail"])
+@pytest.mark.parametrize("case", ["run", "positions", "widths"])
+def test_pack_overflow_writes_nothing(width, at, case):
+    count = 2 * RUN_BLOCK + 5  # two whole blocks and a tail
+    values = np.full(count, (1 << width) - 1, dtype=np.uint64)
+    values[{"first": 0, "last-whole-block": 2 * RUN_BLOCK - 1, "tail": count - 1}[at]] = 1 << width
+    run, pos = run_of(0, width, count)
+    pos, width = {"run": (run, width), "positions": (pos, width), "widths": (pos, np.full(count, width))}[case]
+    words = np.zeros(count + 1, dtype=np.uint64)  # room for every width
+    with pytest.raises(FieldOverflow):
+        pack_fields(words, pos, width, values)
+    assert not words.any()
 
 
 @given(st.lists(st.integers(0, U64_MAX), min_size=1, max_size=50))
@@ -348,6 +402,22 @@ def test_from_buffer_memory_beyond_its_output_is_bounded(side):
     out = again.values()
     assert again == m and out.tolist() == dense.ravel().tolist()
     assert peak - out.nbytes - again.checkpoints.nbytes <= 384 * 1024
+
+
+def test_sm_memory_beyond_words_and_output_is_bounded():
+    dense = sample_matrix(Uniform(1, 24), 1000, 1000, 7)
+    tracemalloc.start()
+    try:
+        m = SmMatrix.compress(dense, "row")
+        packed = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        out = m.values()
+        decoded = tracemalloc.get_traced_memory()[1] - m.data.words.nbytes
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, dense.ravel())
+    assert packed - m.data.words.nbytes <= 2**19  # no array of a million positions
+    assert decoded - out.nbytes <= 2**19
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccmatrix import CompressedMatrix
 from ccmatrix.bitstream import bit_length
 from ccmatrix.errors import NarrowingRequested, OutOfBounds, WidthOverflow
 from ccmatrix.sm import SmMatrix
@@ -69,6 +70,25 @@ def test_set_rejects_wider_value(worked_row):
     m = SmMatrix.compress(worked_row)
     with pytest.raises(WidthOverflow):
         m.set(0, 0, 1024)  # needs 11 bits
+
+
+@pytest.mark.parametrize("width", [40, 64])  # fields straddling words; one field per word
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8, np.uint64, bool])
+def test_get_and_set_take_numpy_integers(width, kind):
+    top = (1 << width) - 1  # every word has bit 63 set
+    dense = np.full((3, 4), top, dtype=np.uint64)
+    m = CompressedMatrix.compress(dense, "sm")
+    i = j = kind(1)
+    value = kind(1) if kind is bool else kind(min(int(np.iinfo(kind).max), top - 1))
+    assert m.get(i, j) == top
+    m.inner.set(i, j, value)
+    dense[1, 1] = int(value)
+    assert m.get(i, j) == m.get(1, 1) == int(value)
+    assert np.array_equal(m.decompress(), dense)
+    for bad in (1.0, np.float64(1)):
+        with pytest.raises(TypeError):
+            m.inner.set(i, j, bad)
+    assert np.array_equal(m.decompress(), dense)
 
 
 def test_set_then_set_back_is_bit_exact(worked_row):
