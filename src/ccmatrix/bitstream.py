@@ -11,15 +11,18 @@ and :func:`unpack_fields`, which place or extract many fields at once
 and take ``BitBuffer.words`` as it is: the stream words plus one zero pad
 word.  Fields are given either as arrays of bit positions and widths
 (the positions case, which VLB uses) or as a run: back-to-back fields of
-one width, given as a ``range`` of bit positions (the case SM uses).  A
-run's word layout repeats every ``lcm(width, 64)`` bits, that is every
-``64 / gcd(width, 64)`` fields, so it is worked in blocks of whole
-periods through one table of in-block positions, and at widths 8, 16, 32
-and 64 through a view of the words (word-aligned bulk packing after
-Lemire & Boytsov, "Decoding billions of integers per second through
-vectorization").  Packing scatters with ``np.add.at``: the target fields
-are zero and the fields disjoint, so the sum equals the OR and nothing
-carries.  ``BitBuffer.read_field``/``write_field`` serve single fields.
+one width, given as a ``range`` of bit positions (the case SM uses).
+Each kernel is one loop over blocks of ``_BLOCK`` fields, so no
+temporary grows with the stream (blocked bulk packing after Lemire &
+Boytsov, "Decoding billions of integers per second through
+vectorization").  A position block is split from its slice of the
+positions.  A run's word layout repeats every ``64 / gcd(width, 64)``
+fields, and a block is a whole number of such periods, so every block
+of a run takes its word indexes and offsets from one table; at widths
+8, 16, 32 and 64 a run is a view of the words.  Packing scatters with
+``np.add.at``: the target fields are zero and the fields disjoint, so
+the sum equals the OR and nothing carries.
+``BitBuffer.read_field``/``write_field`` serve single fields.
 """
 
 from __future__ import annotations
@@ -33,11 +36,13 @@ from .errors import CorruptStream, FieldOverflow, OutOfBounds
 
 WORD_BITS = 64
 U64_MAX = (1 << 64) - 1
-_ONES = np.uint64(U64_MAX)
+_MASKS = np.array([(1 << w) - 1 for w in range(WORD_BITS + 1)], dtype=np.uint64)  # by width
+_1, _63 = np.uint64(1), np.uint64(63)  # a Python int costs numpy a conversion per call
 _LITTLE = sys.byteorder == "little"
 _VIEWS = {w: np.dtype(f"u{w // 8}") for w in (8, 16, 32, 64)}  # runs that are plain arrays
-# Fields per block of a run: a multiple of every period 64 / gcd(width, 64),
-# and small enough that a block's table and temporaries stay in cache.
+# Fields per block of both kernels: a multiple of every run's period
+# 64 / gcd(width, 64), and small enough that a block's table and temporaries
+# stay in cache.
 _BLOCK = 8192
 
 
@@ -72,34 +77,41 @@ def _split(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pos >> 6, (pos & 63).view(np.uint64)
 
 
-def _masks(width) -> np.ndarray:
-    """Field masks ``~0 >> (64 - width)`` for widths in 1..64."""
-    return _ONES >> np.uint64(WORD_BITS - width)
+def _run(words: np.ndarray, pos, width) -> tuple[np.ndarray | None, tuple | None]:
+    """A run's fields as a view of ``words``, else the run's table; ``(None, None)`` for positions.
 
-
-def _is_run(pos, width) -> bool:
-    """Whether ``pos`` is a run: a ``range`` of step ``width``, a scalar."""
-    return isinstance(pos, range) and np.ndim(width) == 0 and pos.step == width
-
-
-def _view(words: np.ndarray, pos: range, width: int) -> np.ndarray | None:
-    """The fields of a run as a view of ``words``, where they form a little-endian array."""
+    A run is a ``range`` of step ``width``, a scalar.  Its fields are a
+    view where they form a little-endian array of ``words``.  Otherwise
+    the table holds the word index (relative to the block's first word),
+    offset and ``63 - offset`` of each field of the run's first block,
+    which serve every block, as each starts at the same in-word offset.
+    Raises IndexError first if a field lies past the last stream word,
+    as neither the view nor a clipped ``take`` would.
+    """
+    if not (isinstance(pos, range) and np.ndim(width) == 0 and pos.step == width):
+        return None, None
+    if pos.start + len(pos) * width > WORD_BITS * (words.size - 1):
+        raise IndexError("a field lies past the last stream word")
     if _LITTLE and width in _VIEWS and pos.start % width == 0:
         first = pos.start // width
-        return words.view(_VIEWS[width])[first : first + len(pos)]
-    return None
-
-
-def _table(pos: range, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Word index, offset and ``63 - offset`` of each field of a run's first block.
-
-    The word index is relative to the block's first word.  A block of
-    ``_BLOCK`` fields is a whole number of periods, so every block starts
-    at the same in-word offset and the table serves each one.
-    """
+        return words.view(_VIEWS[width])[first : first + len(pos)], None
     lead = pos.start & 63
     w, off = _split(np.arange(lead, lead + min(len(pos), _BLOCK) * width, width))
-    return w, off, off ^ np.uint64(63)
+    return None, (w, off, off ^ _63)
+
+
+def _block(pos, width, table, e0: int, k: int):
+    """First word, then word index (relative to it), offset and ``63 - offset`` of fields ``e0`` on.
+
+    The block is ``k`` fields long.  A run's block is a prefix
+    of its table.  A position block is split from its slice of ``pos``;
+    its ``63 - offset`` is None, for the kernel to make from the offsets
+    in place once it has used them.
+    """
+    if table is None:
+        return (0, *_split(pos[e0 : e0 + k]), None)
+    w, off, back = table
+    return (pos.start + e0 * width) >> 6, w[:k], off[:k], back[:k]
 
 
 def pack_fields(words: np.ndarray, pos, width, values: np.ndarray) -> None:
@@ -108,53 +120,40 @@ def pack_fields(words: np.ndarray, pos, width, values: np.ndarray) -> None:
     ``words`` is a uint64 array whose target fields are zero, with one
     spare word past the last field.  ``width`` is a scalar or an array
     matching ``values``; fields must not overlap.  Raises FieldOverflow,
-    before any word is written, if a value does not fit its width.
+    before any word is written, if a value does not fit its width, and
+    IndexError if a field starts past the last stream word (or, for a
+    run, ends past it).
 
-    Fields are scattered with ``np.add.at``, which equals an OR here
-    only because the targets are zero and the fields disjoint, so no sum
-    carries.  The straddling high part of a field is
+    Each block (:func:`_block`) is scattered with ``np.add.at``, which
+    equals an OR here only because the targets are zero and the fields
+    disjoint, so no sum carries.  The straddling high part of a field is
     ``(value >> 1) >> (off ^ 63)``, 0 where ``off`` is 0, so no shift is
-    by 64, whose result numpy leaves to the platform.  A run (``pos`` a
-    ``range`` of step ``width``) is packed by blocks through one table
-    (:func:`_table`), with no position array of its length; at widths 8,
-    16, 32 and 64 it is a cast into a view of ``words``.
+    by 64, whose result numpy leaves to the platform.
     """
     values = np.asarray(values, dtype=np.uint64)
-    if np.ndim(width):
-        bad = (values > _masks(width)).any()
+    if np.ndim(width):  # by blocks, so no mask array grows with the stream
+        blocks = range(0, values.size, _BLOCK)
+        bad = any((values[e : e + _BLOCK] > _MASKS[width[e : e + _BLOCK]]).any() for e in blocks)
     else:
-        bad = values.size and values.max() > _masks(width)
+        bad = values.size and values.max() > _MASKS[width]
     if bad:
         raise FieldOverflow("a value does not fit its field width")
-    if _is_run(pos, width):
-        _pack_run(words, pos, int(width), values)
-        return
-    w, off = _split(pos)
-    np.add.at(words, w, values << off)
-    hi = values >> np.uint64(1)
-    off ^= np.uint64(63)
-    hi >>= off
-    w += 1
-    np.add.at(words, w, hi)
-
-
-def _pack_run(words: np.ndarray, pos: range, width: int, values: np.ndarray) -> None:
-    view = _view(words, pos, width)
+    view, table = _run(words, pos, width)
     if view is not None:
         view[...] = values
         return
-    w, off, back = _table(pos, width)
-    tmp = np.empty(w.size, dtype=np.uint64)
+    tmp = np.empty(min(values.size, _BLOCK), dtype=np.uint64)
     for e0 in range(0, values.size, _BLOCK):
-        first = (pos.start + e0 * width) >> 6
         v = values[e0 : e0 + _BLOCK]
-        k = v.size
-        t = tmp[:k]
-        np.left_shift(v, off[:k], out=t)
-        np.add.at(words[first:], w[:k], t)
-        np.right_shift(v, np.uint64(1), out=t)
-        t >>= back[:k]
-        np.add.at(words[first + 1 :], w[:k], t)
+        first, w, off, back = _block(pos, width, table, e0, v.size)
+        t = tmp[: v.size]
+        np.left_shift(v, off, out=t)
+        np.add.at(words[first:], w, t)
+        if back is None:
+            back = np.bitwise_xor(off, _63, out=off)
+        np.right_shift(v, _1, out=t)
+        t >>= back
+        np.add.at(words[first + 1 :], w, t)
 
 
 def unpack_fields(words: np.ndarray, pos, width) -> np.ndarray:
@@ -162,49 +161,29 @@ def unpack_fields(words: np.ndarray, pos, width) -> np.ndarray:
 
     ``words`` is a uint64 array with one zero pad word after the stream,
     so a field in the last word can read its (empty) successor.  Callers
-    check that every field lies inside the stream.  Temporaries are
-    shifted in place, so at most four arrays the size of ``pos`` are
-    alive.  A run (see :func:`pack_fields`) is read by blocks through one
-    table into the output, or cast from a view of ``words``.
+    check that every field lies inside the stream; one that starts past
+    it raises IndexError, as in :func:`pack_fields`.  Each block
+    (:func:`_block`) takes its low words into the output with a clipped
+    ``take``, its high words with an unclipped one, which raises past
+    the pad word, and ORs them in shifted in place.
     """
-    if _is_run(pos, width):
-        return _unpack_run(words, pos, int(width))
-    w, off = _split(pos)
-    out = words[w]
-    out >>= off
-    w += 1
-    hi = words[w]
-    off ^= 63  # 63 - off
-    hi <<= off
-    hi <<= 1  # never a shift by 64; off 0 adds nothing
-    out |= hi
-    del w, off, hi  # freed before the masks are built
-    out &= _masks(width)
-    return out
-
-
-def _unpack_run(words: np.ndarray, pos: range, width: int) -> np.ndarray:
-    if pos.start + len(pos) * width > WORD_BITS * (words.size - 1):
-        raise IndexError("a field lies past the last stream word")  # take(mode="clip") would not
-    view = _view(words, pos, width)
+    view, table = _run(words, pos, width)
     if view is not None:
         return view.astype(np.uint64)
     out = np.empty(len(pos), dtype=np.uint64)
-    w, off, back = _table(pos, width)
-    hi = np.empty(w.size, dtype=np.uint64)
-    mask = _masks(width)
     for e0 in range(0, out.size, _BLOCK):
-        first = (pos.start + e0 * width) >> 6
         o = out[e0 : e0 + _BLOCK]
-        k = o.size
-        h = hi[:k]
-        words[first:].take(w[:k], out=o, mode="clip")
-        o >>= off[:k]
-        words[first + 1 :].take(w[:k], out=h, mode="clip")
-        h <<= back[:k]
-        h <<= np.uint64(1)
+        first, w, off, back = _block(pos, width, table, e0, o.size)
+        words[first:].take(w, out=o, mode="clip")
+        o >>= off
+        h = words[first + 1 :].take(w)  # unclipped: raises past the pad word
+        if back is None:
+            back = np.bitwise_xor(off, _63, out=off)
+        h <<= back
+        h <<= _1  # never a shift by 64; off 0 adds nothing
         o |= h
-        o &= mask
+        del w, off, back, h  # freed before the masks are built
+        o &= _MASKS[width[e0 : e0 + o.size] if isinstance(width, np.ndarray) else width]
     return out
 
 

@@ -102,7 +102,9 @@ def eta2_prob(probs: dict[int, float], k: int = WORST_CASE_K) -> float:
         weighted += b * p
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"probabilities sum to {total}, expected 1")
-    return 1.0 - weighted / 64.0 - k / 64.0
+    # the weighted sum is the mean bit-length; a sum of probabilities just
+    # above 1, which the tolerance admits, can lift it just above 64
+    return expected_eta2(min(weighted, 64.0), k)
 
 
 def expected_eta2(mean_bitlen: float, k: int = WORST_CASE_K) -> float:

@@ -22,7 +22,7 @@ import threading
 from itertools import product
 
 from .bitstream import U64_MAX, bit_length
-from .efficiency import WORST_CASE_K, compare, eta1, eta2
+from .efficiency import WORST_CASE_K, compare, eta1, eta2, expected_eta2
 from .genmat import (
     BetaMixture,
     Binomial,
@@ -170,8 +170,8 @@ def _grid_point_row(dist: BitLengthDist, sample_size: int, seed: int):
     bl = sample_bitlens(dist, sample_size, seed)
     mean_b = float(bl.mean())
     max_b = max(1, int(bl.max()))
-    e1 = (64 - max_b) / 64
-    e2 = 1 - mean_b / 64 - WORST_CASE_K / 64  # histogram formula: sum(b*f)/total is the mean
+    e1 = eta1(max_b)
+    e2 = expected_eta2(mean_b)  # the histogram formula, as sum(b*f)/total is the mean
     return mean_b, e1, e2, e1 - e2
 
 

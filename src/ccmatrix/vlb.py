@@ -258,7 +258,7 @@ class VlbMatrix:
         if top + k <= WORD_BITS:
             fields = flat << np.uint64(k)
             fields |= lengths.view(np.uint64)
-            del lengths  # before the pack, whose temporaries make the peak
+            del lengths  # the pack needs only the fields
             pack_fields(data.words, starts, sizes, fields)
             del fields
         else:

@@ -88,6 +88,11 @@ def test_eta2_prob_validation():
         eta2_prob({1: float("nan"), 64: 1.0}, 7)
 
 
+def test_eta2_prob_accepts_a_sum_just_above_one_with_its_mass_at_64():
+    # the sum lies inside the tolerance, and the weighted sum just above 64
+    assert abs(eta2_prob({1: 1e-13, 64: 1.0}, 7) - expected_eta2(64, 7)) <= 1e-12
+
+
 def test_expected_eta2_known_values():
     assert abs(expected_eta2(32.5, 7) - 0.3828) <= 1e-4
     assert expected_eta2(32, 7) == 25 / 64  # binomial(64, 0.5) mean

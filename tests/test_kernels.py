@@ -129,6 +129,69 @@ def test_pack_overflow_writes_nothing(width, at, case):
     assert not words.any()
 
 
+@pytest.mark.parametrize("width", [7, 8, 64])  # 8 and 64 are views when the start is aligned
+@pytest.mark.parametrize("past", [0, 1, 64])  # the first pad bit, the next, a word beyond
+@pytest.mark.parametrize("case", ["run", "positions", "widths"])
+@pytest.mark.parametrize("kernel", ["pack", "unpack"])
+def test_a_field_past_the_stream_raises(width, past, case, kernel):
+    words = np.zeros(4, dtype=np.uint64)  # three stream words and the pad word
+    pad = WORD_BITS * (words.size - 1)
+    start = pad + past - 2 * width  # the last of three fields starts at or past the first pad bit
+    run, pos = run_of(start, width, 3)
+    pos, width = {"run": (run, width), "positions": (pos, width), "widths": (pos, np.full(3, width))}[case]
+    with pytest.raises(IndexError):
+        if kernel == "pack":
+            pack_fields(words, pos, width, np.ones(3, dtype=np.uint64))
+        else:
+            unpack_fields(words, pos, width)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_blocked_positions_match_single_field_path(seed):
+    rnd = Random(seed)
+    count = rnd.randint(2, 3) * RUN_BLOCK + rnd.randint(1, RUN_BLOCK - 1)  # whole blocks and a tail
+    ref = BitBuffer()
+    pos, widths, values = [], [], []
+    p = 0
+    for _ in range(count):
+        p += rnd.choice((0, 0, rnd.randint(1, 70)))  # gaps, some longer than a word
+        w = rnd.randint(1, WORD_BITS)
+        v = rnd.randrange(1 << w)
+        ref.write_field(p, w, v)
+        pos.append(p)
+        widths.append(w)
+        values.append(v)
+        p += w
+    pos, widths = np.array(pos), np.array(widths)
+    assert ((pos & 63) + widths > WORD_BITS).sum() > count // 4  # many fields straddle words
+    words = np.zeros(ref.word_count + 1, dtype=np.uint64)
+    pack_fields(words, pos, widths, np.array(values, dtype=np.uint64))
+    assert np.array_equal(words, ref.words)
+    got = unpack_fields(ref.words, pos, widths).tolist()
+    assert got == [ref.read_field(q, w) for q, w in zip(pos.tolist(), widths.tolist())]
+
+
+def test_position_kernels_need_no_stream_length_temporaries():
+    # a million VLB-like fields: prefix of 5 bits and payload, packed back to back
+    flat = np.random.default_rng(5).integers(0, 2**24, 1_000_000, dtype=np.uint64)
+    lengths = bit_lengths(flat)
+    sizes = lengths + 5
+    starts = np.cumsum(sizes) - sizes
+    fields = (flat << np.uint64(5)) | lengths.view(np.uint64)
+    words = np.zeros(-(-int(sizes.sum()) // WORD_BITS) + 1, dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        pack_fields(words, starts, sizes, fields)
+        packed = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        out = unpack_fields(words, starts, sizes)
+        unpacked = tracemalloc.get_traced_memory()[1] - out.nbytes
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, fields)
+    assert packed <= 2**20 and unpacked <= 2**20
+
+
 @given(st.lists(st.integers(0, U64_MAX), min_size=1, max_size=50))
 @example([0, 1, 2, 3, 2**32 - 1, 2**32, 2**63 - 1, 2**63, U64_MAX])
 @example([0] + [min(2**k + d, U64_MAX) for k in range(1, 65) for d in (-1, 0, 1)])
