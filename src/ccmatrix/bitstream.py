@@ -22,7 +22,12 @@ of a run takes its word indexes and offsets from one table; at widths
 8, 16, 32 and 64 a run is a view of the words.  Packing scatters with
 ``np.add.at``: the target fields are zero and the fields disjoint, so
 the sum equals the OR and nothing carries.
-``BitBuffer.read_field``/``write_field`` serve single fields.
+
+Single fields are read and written by :func:`read_bits` and
+:func:`write_bits`, on one or two words as Python ints and unchecked.
+``BitBuffer.read_field``/``write_field`` call them after checking their
+arguments; ``SmMatrix.get``/``set``, whose index and width already bound
+the field, call them directly.
 """
 
 from __future__ import annotations
@@ -187,6 +192,38 @@ def unpack_fields(words: np.ndarray, pos, width) -> np.ndarray:
     return out
 
 
+def read_bits(words: np.ndarray, pos: int, width: int) -> int:
+    """The ``width``-bit field at bit ``pos`` of ``words``, unchecked.
+
+    ``pos`` and ``width`` are Python ints, and the field lies inside
+    ``words``.  One or two words are read as Python ints: a word of 2**63
+    or more shifted by a numpy integer overflows.
+    """
+    w, off = pos >> 6, pos & 63
+    out = words.item(w) >> off
+    if off + width > WORD_BITS:
+        out |= words.item(w + 1) << (WORD_BITS - off)
+    return out & ((1 << width) - 1)
+
+
+def write_bits(words: np.ndarray, pos: int, width: int, value: int) -> None:
+    """Replace the ``width``-bit field at bit ``pos`` of ``words`` by ``value``, unchecked.
+
+    As :func:`read_bits`, with ``0 <= value < 2**width``; no other bit
+    changes.  Each word XORs in the difference between its bits and the
+    value's: ``~mask`` on a numpy uint64 overflows, so words are combined
+    as Python ints.
+    """
+    w, off = pos >> 6, pos & 63
+    mask = (1 << width) - 1
+    x = words.item(w)
+    words[w] = x ^ (((x >> off ^ value) & mask) << off & U64_MAX)
+    if off + width > WORD_BITS:
+        low = WORD_BITS - off  # bits of the field in word ``w``
+        x = words.item(w + 1)
+        words[w + 1] = x ^ ((x ^ value >> low) & mask >> low)
+
+
 class BitBuffer:
     """Growable bitstring addressed by absolute bit position.
 
@@ -214,9 +251,9 @@ class BitBuffer:
         """Write ``value`` into bits ``[pos, pos + width)``.
 
         Grows the buffer if the field ends past ``bit_len``.  Any previous
-        contents of the field are replaced; no other bit changes.  Words
-        are combined as Python ints: ``~mask`` on a numpy uint64 overflows,
-        so numpy integer arguments are taken as Python ints first.
+        contents of the field are replaced; no other bit changes.  Numpy
+        integer arguments are taken as Python ints, then checked, before
+        :func:`write_bits` writes the field.
         """
         pos, width, value = operator.index(pos), operator.index(width), operator.index(value)
         if not 1 <= width <= WORD_BITS:
@@ -233,20 +270,13 @@ class BitBuffer:
             if grow > 0:
                 self.words = np.concatenate((self.words, np.zeros(grow, dtype=np.uint64)))
             self.bit_len = end
-        words = self.words
-        w, off = divmod(pos, WORD_BITS)
-        mask = (1 << width) - 1
-        low_room = WORD_BITS - off
-        words[w] = (words.item(w) & ~((mask << off) & U64_MAX)) | ((value << off) & U64_MAX)
-        if width > low_room:
-            hi_mask = mask >> low_room
-            words[w + 1] = (words.item(w + 1) & ~hi_mask) | (value >> low_room)
+        write_bits(self.words, pos, width, value)
 
     def read_field(self, pos: int, width: int) -> int:
         """Read the unsigned value stored in bits ``[pos, pos + width)``.
 
-        Numpy integer arguments are taken as Python ints: a word of 2**63
-        or more shifted by an ``np.int64`` overflows.
+        Numpy integer arguments are taken as Python ints, then checked,
+        before :func:`read_bits` reads the field.
         """
         pos, width = operator.index(pos), operator.index(width)
         if not 1 <= width <= WORD_BITS:
@@ -255,13 +285,7 @@ class BitBuffer:
             raise OutOfBounds(
                 f"field [{pos}, {pos + width}) outside buffer of {self.bit_len} bits"
             )
-        w, off = divmod(pos, WORD_BITS)
-        mask = (1 << width) - 1
-        out = (self.words.item(w) >> off) & mask
-        low_room = WORD_BITS - off
-        if width > low_room:
-            out |= (self.words.item(w + 1) & (mask >> low_room)) << low_room
-        return out
+        return read_bits(self.words, pos, width)
 
     def check_padding(self) -> None:
         """Raise CorruptStream if a bit at or past ``bit_len`` is set."""

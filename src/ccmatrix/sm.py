@@ -18,7 +18,15 @@ from collections.abc import Iterable
 import numpy as np
 
 from ._dense import ROW_MAJOR, check_order, dense_to_flat, flat_to_dense, unravel_index
-from .bitstream import WORD_BITS, BitBuffer, bit_length, pack_fields, unpack_fields
+from .bitstream import (
+    WORD_BITS,
+    BitBuffer,
+    bit_length,
+    pack_fields,
+    read_bits,
+    unpack_fields,
+    write_bits,
+)
 from .errors import FieldOverflow, NarrowingRequested, WidthOverflow
 
 
@@ -30,7 +38,7 @@ class SmMatrix:
     def __init__(self, rows: int, cols: int, width: int, order: str, data: BitBuffer):
         self.rows = rows
         self.cols = cols
-        self.width = width
+        self.width = operator.index(width)  # a numpy width would overflow the shifts of get and set
         self.order = check_order(order)
         self.data = data
 
@@ -64,22 +72,24 @@ class SmMatrix:
         return cls(rows, cols, width, order, data)
 
     def get(self, i: int, j: int) -> int:
+        """Read one element: its chunk, from one or two words (:func:`read_bits`)."""
         idx = unravel_index(i, j, self.rows, self.cols, self.order)
-        return self.data.read_field(idx * self.width, self.width)
+        return read_bits(self.data.words, idx * self.width, self.width)
 
     def set(self, i: int, j: int, value: int) -> None:
         """Overwrite one element in place.
 
         The value must fit the existing chunk width; use :meth:`widen`
-        first if it does not.
+        first if it does not.  It is checked once, here; the index is
+        checked by ``unravel_index``, so :func:`write_bits` writes the
+        chunk unchecked.
         """
         value = operator.index(value)
-        if bit_length(value) > self.width:
-            raise WidthOverflow(
-                f"{value} needs {bit_length(value)} bits, chunk width is {self.width}"
-            )
+        width = self.width
+        if value >> width:  # also for a negative value; bit_length raises ValueError for it
+            raise WidthOverflow(f"{value} needs {bit_length(value)} bits, chunk width is {width}")
         idx = unravel_index(i, j, self.rows, self.cols, self.order)
-        self.data.write_field(idx * self.width, self.width, value)
+        write_bits(self.data.words, idx * width, width, value)
 
     def widen(self, new_width: int) -> "SmMatrix":
         """Re-encode at a larger chunk width, preserving all elements."""

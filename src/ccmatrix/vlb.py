@@ -24,15 +24,18 @@ prefixes only (8 steps per block whatever the matrix size), and then one
 pass over groups of whole sub-lanes extracts and checks every payload.
 Each sub-lane must end exactly where the next one starts.
 
-Two prefix walkers hop the stream.  ``get`` hops one sub-lane with ``_hop``,
-which shifts and masks the words of that sub-lane.  ``from_buffer`` finds
-every sub-lane start with ``_walk``, which hops the whole stream through a
-table indexed by bit position, as table-driven decoders of prefix codes
-do (Moffat & Turpin, "On the Implementation of Minimum Redundancy Prefix
-Codes", 1997): the table is built a block at a time, so each hop is one
-byte lookup.  A table costs more to build than the hops of one ``get``
-save, so ``get`` keeps ``_hop``; ``_walk`` also falls back on ``_hop``
-for a lane that runs past the stream, to raise its error.
+Two prefix walkers hop the stream.  ``get`` reads the words of one
+sub-lane as one Python int, shifted so the sub-lane starts at bit 0, and
+``_hop`` hops it with one shift and mask per prefix: broadword rank/select
+works a whole word per operation, and here the word is the whole
+sub-lane.  ``from_buffer`` finds every sub-lane start with ``_walk``,
+which hops the whole stream through a table indexed by bit position, as
+table-driven decoders of prefix codes do (Moffat & Turpin, "On the
+Implementation of Minimum Redundancy Prefix Codes", 1997): the table is
+built a block at a time, so each hop is one byte lookup.  A table costs
+more to build than the hops of one ``get`` save, so ``get`` keeps
+``_hop``; ``_walk`` also falls back on ``_hop``, one sub-lane int at a
+time, for a lane that runs past the stream, to raise its error.
 
 The lane decoder is also the one stream validator.  ``from_buffer``
 walks prefixes to find the sub-lane starts, rejects words or set bits
@@ -50,6 +53,7 @@ import numpy as np
 
 from ._dense import ROW_MAJOR, check_order, dense_to_flat, flat_to_dense, unravel_index
 from .bitstream import (
+    _LITTLE,
     WORD_BITS,
     BitBuffer,
     bit_length,
@@ -64,31 +68,30 @@ _SUBLANE = 8  # elements per sub-lane, with one uint16 offset each: ``get`` hops
 _PER = _STRIDE // _SUBLANE  # sub-lanes per lane
 _GROUP = 4096  # elements per extract pass, and sub-lanes per decode block, keep temporaries small
 _BLOCK = 1 << 17  # lane-start bits per hop table: a table is about 137 KiB
+_SPAN = _SUBLANE * (7 + 127) // WORD_BITS + 2  # words that hold any sub-lane of 8 walked elements
 
 
-def _hop(words: list[int], pos: int, count: int, k: int, limit: int) -> int:
-    """Skip ``count`` elements from bit ``pos``, reading only their prefixes.
+def _bits(words: np.ndarray, pos: int, stop: int) -> int:
+    """``words[pos >> 6 : stop]`` as one Python int, shifted so bit ``pos`` is bit 0."""
+    seg = words[pos >> 6 : stop]
+    return int.from_bytes((seg if _LITTLE else seg.byteswap()).tobytes(), "little") >> (pos & 63)
 
-    ``words`` is a list of Python ints (indexing the uint64 array per hop
-    is 2-3x slower) and ``pos`` counts from ``words[0]``.  Returns the
-    bit where the next element starts.  Raises CorruptStream if a prefix
-    would run past bit ``limit``; ``words`` must hold at least ``limit``
-    bits, so a prefix that straddles two words always has its second word.
-    ``get`` hops one sub-lane with it, and ``_walk`` re-walks a lane that
-    runs past the stream.
+
+def _hop(x: int, count: int, k: int, limit: int) -> int:
+    """Skip ``count`` elements from bit 0 of the int ``x``, reading only their prefixes.
+
+    Returns the bit where the next element starts.  Raises CorruptStream
+    if a prefix would run past bit ``limit``.  ``get`` hops one sub-lane
+    with it, and ``_walk`` re-walks a lane that runs past the stream.
     """
     kmask = (1 << k) - 1
-    split = WORD_BITS - k  # prefixes starting past this offset straddle
     last = limit - k  # the last bit a prefix may start at
+    p = 0
     for _ in range(count):
-        if pos > last:
+        if p > last:
             raise CorruptStream("prefix runs past end of stream")
-        off = pos & 63
-        b = words[pos >> 6] >> off
-        if off > split:
-            b |= words[(pos >> 6) + 1] << (WORD_BITS - off)
-        pos += k + (b & kmask)
-    return pos
+        p += k + (x >> p & kmask)
+    return p
 
 
 def _hop_table(words: np.ndarray, base: int, size: int, k: int) -> bytearray:
@@ -155,20 +158,13 @@ def _walk(buf: BitBuffer, n: int, k: int) -> tuple[array, int]:
             break  # the lane read past the stream: ``_hop`` walks it again below, and raises
         pos = base + q
         first += _STRIDE
-    if first < n:
-        words = buf.words.tolist()
-        for first in range(first, n, _SUBLANE):
-            starts.append(pos)
-            pos = _hop(words, pos, min(_SUBLANE, n - first), k, limit)
+    for first in range(first, n, _SUBLANE):
+        starts.append(pos)
+        x = _bits(buf.words, pos, (pos >> 6) + _SPAN)
+        pos += _hop(x, min(_SUBLANE, n - first), k, limit - pos)
     if pos > limit:
         raise CorruptStream("payload runs past end of stream")
     return starts, pos
-
-
-def _read(words: list[int], pos: int, width: int) -> int:
-    """The ``width``-bit field at bit ``pos``; ``words`` holds the word after its first."""
-    w = pos >> 6
-    return ((words[w] | words[w + 1] << WORD_BITS) >> (pos & 63)) & ((1 << width) - 1)
 
 
 def _directory(heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,11 +299,12 @@ class VlbMatrix:
         """Decode one element, hopping prefixes from the start of its sub-lane.
 
         The sub-lane starts ``offsets[s]`` bits after its lane's
-        checkpoint, so at most 7 prefixes lie between it and the element.  It ends where the next
-        sub-lane starts, or at the end of the stream for the last one;
-        ``_hop`` raises CorruptStream past that end.  Hops, prefix and
-        payload all read one list of Python ints: the words of that
-        sub-lane, plus one.
+        checkpoint, so at most 7 prefixes lie between it and the element.
+        It ends where the next sub-lane starts, or at the end of the
+        stream for the last one; ``_hop`` raises CorruptStream past that
+        end.  Its words, plus one, are read as one Python int, shifted so
+        the sub-lane starts at bit 0: hops, prefix and payload are all
+        shifts and masks of that int.
         """
         idx = unravel_index(i, j, self.rows, self.cols, self.order)
         offs = self.offsets
@@ -317,11 +314,10 @@ class VlbMatrix:
         end = self.data.bit_len
         if s + 1 < offs.size:
             end = cps.item((s + 1) // _PER) + offs.item(s + 1)
-        w0 = pos >> 6
-        words = self.data.words[w0 : (end >> 6) + 2].tolist()
+        x = _bits(self.data.words, pos, (end >> 6) + 2)
         k = self.k
-        pos = _hop(words, pos & 63, idx - s * _SUBLANE, k, end - (w0 << 6))
-        return _read(words, pos + k, _read(words, pos, k))
+        p = _hop(x, idx - s * _SUBLANE, k, end - pos)
+        return x >> (p + k) & ((1 << (x >> p & ((1 << k) - 1))) - 1)
 
     def values(self) -> np.ndarray:
         """All elements in unravel order, as a new uint64 array."""

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -296,3 +299,16 @@ def test_get_with_uint8_indices_reads_the_right_element(method, order):
     m = CompressedMatrix.compress(dense, method, order)
     i, j = np.uint8(200), np.uint8(3)  # 200 * 250 wraps in uint8
     assert m.get(i, j) == 200 * 250 + 3 and m.get(j, i) == 3 * 250 + 200
+
+
+@pytest.mark.parametrize("method", ["sm", "vlb"])
+def test_copies_and_pickles_read_alike_and_share_no_words(method):
+    # Point access keeps no state on a matrix, so a copy reads alone.
+    dense = np.arange(12 * 13, dtype=np.uint64).reshape(12, 13) << np.uint64(50)
+    m = CompressedMatrix.compress(dense, method).inner
+    for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert twin == m and twin.data.words is not m.data.words
+        assert [twin.get(i, j) for i, j in np.ndindex(12, 13)] == dense.ravel().tolist()
+    if method == "sm":
+        twin.set(3, 4, 1)
+        assert twin.get(3, 4) == 1 and m.get(3, 4) == dense[3, 4]

@@ -152,15 +152,17 @@ def test_loading_hops_with_the_table_until_a_lane_runs_past_the_stream(monkeypat
     assert cps[j + 1] > 64 * words
     with pytest.raises(CorruptStream, match="prefix runs past end"):
         load_bytes(vlb_container(m.k, m.data.words[:words].tolist(), rows=250, cols=250))
-    assert hops[0][1] == cps[j]  # (words, pos, count, k, limit) of each call
-    assert all(pos >= cps[j] for _, pos, *_ in hops)
+    left = 64 * words - cps[j]  # stream bits from the start of lane j
+    # (x, count, k, limit) of each call: x holds the stream from the hop's start on
+    assert hops[0][3] == left and hops[0][0] % 2**left == m.data.read_field(cps[j], left)
+    assert all(limit <= left for *_, limit in hops)
     loaded = load_bytes(dump_bytes(m)).inner
     assert np.array_equal(loaded.offsets, m.offsets) and loaded.offsets.dtype == np.uint16
     for g in (m, loaded):
         for i, j in ((3, 4), (0, 0), (100, 63), (249, 249)):
             hops.clear()
             assert g.get(i, j) == dense[i, j]
-            assert len(hops) == 1 and hops[0][2] < 8  # fewer than 8 prefixes from a sub-lane start
+            assert len(hops) == 1 and hops[0][1] < 8  # fewer than 8 prefixes from a sub-lane start
 
 
 def test_load_bytes_memory_beyond_its_output_is_bounded():

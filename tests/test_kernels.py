@@ -486,8 +486,8 @@ def test_sm_memory_beyond_words_and_output_is_bounded():
 @pytest.mark.parametrize(
     "dist, bound",
     [
-        (Uniform(1, 24), 71.71),  # one field per element
-        (Uniform(58, 64), 77.73),  # every element wide: prefixes, then payloads
+        (Uniform(1, 24), 36),  # one field per element
+        (Uniform(58, 64), 43),  # every element wide: prefixes, then payloads
     ],
 )
 def test_compress_memory_does_not_grow_at_scale(dist, bound):

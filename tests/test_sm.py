@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccmatrix import CompressedMatrix
+from ccmatrix._dense import unravel_index
 from ccmatrix.bitstream import bit_length
 from ccmatrix.errors import NarrowingRequested, OutOfBounds, WidthOverflow
 from ccmatrix.sm import SmMatrix
@@ -67,9 +68,41 @@ def test_set_within_width(worked_row):
 
 
 def test_set_rejects_wider_value(worked_row):
+    # and every other bad value: each raises the error and message it always
+    # raised, and no bit changes
     m = SmMatrix.compress(worked_row)
-    with pytest.raises(WidthOverflow):
-        m.set(0, 0, 1024)  # needs 11 bits
+    before = m.data.copy()
+    for bad, error, match in (
+        (1024, WidthOverflow, "1024 needs 11 bits, chunk width is 10"),
+        (-1, ValueError, "value out of unsigned 64-bit range: -1"),
+        (2**64, ValueError, "value out of unsigned 64-bit range"),
+        (1.0, TypeError, "integer"),
+    ):
+        with pytest.raises(error, match=match) as exc:
+            m.set(0, 6, bad)  # the chunk that straddles the two words
+        assert exc.type is error
+        assert m.data == before
+
+
+@pytest.mark.parametrize("width", range(1, 65))
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_set_writes_the_bits_of_write_field_and_reads_back(width, data):
+    # Every chunk is set once, so chunks at and across word boundaries are
+    # all written; a full start sets bit 63 of every full word.
+    rows, cols = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+    order = data.draw(st.sampled_from(["row", "col"]))
+    top = (1 << width) - 1
+    fill = data.draw(st.sampled_from([0, top]))
+    m = SmMatrix.from_values(rows, cols, np.int64(width), [fill] * (rows * cols), order)
+    cells = data.draw(st.permutations([(i, j) for i in range(rows) for j in range(cols)]))
+    for i, j in cells:
+        value = data.draw(st.integers(0, top))
+        ref = m.data.copy()
+        ref.write_field(unravel_index(i, j, rows, cols, order) * width, width, value)
+        m.set(i, j, value)
+        assert m.data == ref
+        assert m.get(i, j) == value
 
 
 @pytest.mark.parametrize("width", [40, 64])  # fields straddling words; one field per word

@@ -99,6 +99,44 @@ def test_get_and_directory_agree_with_values(size, order):
     assert loaded.values().tolist() == flat
 
 
+@pytest.mark.parametrize("order", ["row", "col"])
+@pytest.mark.parametrize("k", range(1, 8))
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_get_equals_values_at_every_prefix_width(k, order, data):
+    # The widest element has a bit-length whose bit-length is k; all-wide
+    # matrices hold only elements of 58 bits or more.  SIZES has short last
+    # sub-lanes and short last lanes.
+    top = data.draw(st.integers(2 ** (k - 1), min(2**k - 1, 64)))
+    low = data.draw(st.sampled_from([1, 58] if top >= 58 else [1]))
+    r, c = shape_of(data.draw(st.sampled_from(SIZES)))
+    rnd = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    lengths = rnd.integers(low, top, size=r * c, endpoint=True).tolist()
+    lengths[rnd.integers(r * c)] = top
+    bits = rnd.integers(0, 2**64, size=r * c, dtype=np.uint64).tolist()
+    values = [x >> 64 - n | (n > 1) << n - 1 for n, x in zip(lengths, bits)]  # bit-length n
+    m = VlbMatrix.compress(np.array(values, dtype=np.uint64).reshape(r, c), order)
+    assert m.k == k
+    flat = m.values()
+    for i, j in np.ndindex(r, c):
+        assert m.get(i, j) == flat[unravel_index(i, j, r, c, order)]
+
+
+def test_get_raises_where_a_prefix_runs_past_its_sub_lane():
+    values = WORKED_ROW * 2  # two sub-lanes
+    m = VlbMatrix.compress([values])
+    starts = element_starts(values, m.k)
+    offsets = m.offsets.copy()
+    offsets[1] = starts[3] + m.k - 1  # sub-lane 0 now ends inside the prefix of element 3
+    cut = m.data.copy()
+    cut.bit_len = starts[12] + m.k - 1  # the last sub-lane ends inside that of element 12
+    for data, offs, e in ((m.data, offsets, 4), (cut, m.offsets, 13)):
+        forged = VlbMatrix(1, 16, m.k, "row", data, m.checkpoints, offs)
+        assert forged.get(0, e - 2) == values[e - 2]  # wholly inside its sub-lane
+        with pytest.raises(CorruptStream, match="prefix runs past end of stream"):
+            forged.get(0, e)
+
+
 def test_checkpoints_start_at_origin_and_increase(rng):
     for n in SIZES:
         dense = rng.integers(0, 2**30, size=shape_of(n), dtype=np.uint64)
