@@ -1,4 +1,5 @@
-"""Conversion between dense integer matrices and flat element lists."""
+"""Conversion between dense integer matrices and flat element lists, and
+what the two packed matrix classes share."""
 
 from __future__ import annotations
 
@@ -74,3 +75,28 @@ def dense_to_flat(dense, order: str) -> tuple[int, int, np.ndarray]:
 def flat_to_dense(flat: np.ndarray, rows: int, cols: int, order: str) -> np.ndarray:
     """Inverse of dense_to_flat: shape a uint64 array in unravel order."""
     return flat.reshape((rows, cols), order="C" if order == ROW_MAJOR else "F")
+
+
+class PackedMatrix:
+    """Base of SM and VLB: ``rows`` x ``cols`` in ``order``, packed in the BitBuffer ``data``
+    in a format of one parameter, the attribute that ``_PARAM`` names."""
+
+    __slots__ = ()
+
+    @property
+    def bits_used(self) -> int:
+        return self.data.bit_len
+
+    def __eq__(self, other: object) -> bool:
+        """Same class, shape, order, parameter and stream; a VLB directory follows from its stream."""
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        keys = ("rows", "cols", self._PARAM, "order", "data")
+        return all(getattr(self, f) == getattr(other, f) for f in keys)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        p = self._PARAM
+        shape = f"{self.rows}x{self.cols}"
+        return f"{type(self).__name__}({shape}, {p}={getattr(self, p)}, order={self.order!r})"

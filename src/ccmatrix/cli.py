@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 parse/validation error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 import warnings
 from functools import cache
@@ -205,10 +206,7 @@ def cmd_experiment(args) -> int:
         f"sizes={','.join(str(s) for s in args.size)} replicates={args.replicates} "
         f"seed={args.seed} k_policy={args.k_policy}",
     )
-    if args.csv:
-        experiments.write_csv(args.csv, experiments.EXPERIMENT_FIELDS, rows, comments)
-    else:
-        _print_rows(experiments.EXPERIMENT_FIELDS, rows, comments)
+    _write_rows(args.csv, experiments.EXPERIMENT_FIELDS, rows, comments)
     return 0
 
 
@@ -233,19 +231,20 @@ def cmd_sweep(args) -> int:
             f"points={len(rows)} sample_size={args.size} w={w} seed={args.seed}",
             f"sm_favored={sm_count} share={100 * sm_count / len(rows):.4f}%",
         )
-    if args.csv:
-        experiments.write_csv(args.csv, fields, rows, comments)
-    else:
-        _print_rows(fields, rows, comments)
+    _write_rows(args.csv, fields, rows, comments)
     return 0
 
 
-def _print_rows(fields, rows, comments=()) -> None:
+def _write_rows(path, fields, rows, comments) -> None:
+    """Write rows as CSV to ``path``, or to stdout with ``\\n`` line ends, quoted alike."""
+    if path:
+        experiments.write_csv(path, fields, rows, comments)
+        return
     for c in comments:
         print(f"# {c}")
-    print(",".join(fields))
-    for r in rows:
-        print(",".join(str(r[f]) for f in fields))
+    writer = csv.DictWriter(sys.stdout, fields, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,7 +17,9 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from ._dense import ROW_MAJOR, check_order, dense_to_flat, flat_to_dense, unravel_index
+from ._dense import (
+    ROW_MAJOR, PackedMatrix, check_order, dense_to_flat, flat_to_dense, unravel_index
+)
 from .bitstream import (
     WORD_BITS,
     BitBuffer,
@@ -30,10 +32,11 @@ from .bitstream import (
 from .errors import FieldOverflow, NarrowingRequested, WidthOverflow
 
 
-class SmMatrix:
+class SmMatrix(PackedMatrix):
     """Matrix packed into fixed ``width``-bit chunks."""
 
     __slots__ = ("rows", "cols", "width", "order", "data")
+    _PARAM = "width"
 
     def __init__(self, rows: int, cols: int, width: int, order: str, data: BitBuffer):
         self.rows = rows
@@ -106,26 +109,3 @@ class SmMatrix:
 
     def decompress(self) -> np.ndarray:
         return flat_to_dense(self.values(), self.rows, self.cols, self.order)
-
-    @property
-    def bits_used(self) -> int:
-        return self.data.bit_len
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SmMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.width == other.width
-            and self.order == other.order
-            and self.data == other.data
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return (
-            f"SmMatrix({self.rows}x{self.cols}, width={self.width}, "
-            f"order={self.order!r})"
-        )

@@ -37,21 +37,25 @@ more to build than the hops of one ``get`` save, so ``get`` keeps
 ``_hop``; ``_walk`` also falls back on ``_hop``, one sub-lane int at a
 time, for a lane that runs past the stream, to raise its error.
 
-The lane decoder is also the one stream validator.  ``from_buffer``
-walks prefixes to find the sub-lane starts, rejects words or set bits
-past the stream's end, builds the directory from those starts as
-``compress`` builds it from the element starts, and decodes once; the
-decoder rejects every stream that is not the canonical encoding of its
-elements, or whose sub-lanes do not meet where the directory says.
+The lane decoder, a generator of checked blocks, is also the one stream
+validator.  ``from_buffer`` walks prefixes to find the sub-lane starts,
+rejects words or set bits past the stream's end, builds the directory
+from those starts as ``compress`` builds it from the element starts, and
+drains the decoder through one reused block; the decoder rejects every
+stream that is not the canonical encoding of its elements, or whose
+sub-lanes do not meet where the directory says.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import deque
 
 import numpy as np
 
-from ._dense import ROW_MAJOR, check_order, dense_to_flat, flat_to_dense, unravel_index
+from ._dense import (
+    ROW_MAJOR, PackedMatrix, check_order, dense_to_flat, flat_to_dense, unravel_index
+)
 from .bitstream import (
     _LITTLE,
     WORD_BITS,
@@ -198,7 +202,7 @@ def _corrupt(pos: np.ndarray, b: np.ndarray, k: int, limit: int, v=None) -> Corr
     return CorruptStream(f"prefix {bi} at bit {p} is not the bit-length of its payload")
 
 
-class VlbMatrix:
+class VlbMatrix(PackedMatrix):
     """Matrix packed as (bit-length prefix, payload) pairs.
 
     ``checkpoints`` is an int64 array with one entry per lane.  Lane
@@ -211,7 +215,8 @@ class VlbMatrix:
     sub-lane, so they are not stored.
     """
 
-    __slots__ = ("rows", "cols", "k", "order", "data", "checkpoints", "offsets", "_loaded")
+    __slots__ = ("rows", "cols", "k", "order", "data", "checkpoints", "offsets")
+    _PARAM = "k"
 
     def __init__(
         self,
@@ -230,7 +235,6 @@ class VlbMatrix:
         self.data = data
         self.checkpoints = checkpoints
         self.offsets = offsets
-        self._loaded = None  # elements decoded by from_buffer, until values() takes them
 
     @classmethod
     def compress(cls, dense, order: str = ROW_MAJOR) -> "VlbMatrix":
@@ -275,14 +279,13 @@ class VlbMatrix:
         ``buf`` past the stream's end.  ``buf.bit_len`` is then set to the
         exact end of the stream, :func:`_directory` turns the sub-lane
         starts into checkpoints and offsets, as ``compress`` does, and the
-        lane decoder, the one validator, decodes the stream once: it raises
-        CorruptStream if the stream is not decodable or not canonical, or
-        if a sub-lane does not end where the directory says the next one
-        starts, so a loaded matrix is bit-identical to compressing its own
-        elements.  The walk's table and starts are released before the
-        decode.  The decoded elements stay on the matrix until the first
-        :meth:`values` call takes them, so loading and then decoding a
-        stream decodes it once.
+        lane decoder, the one validator, decodes the stream through one
+        reused block of at most 256 KiB, once the walk's table and starts
+        are released.  It raises CorruptStream if the stream is not
+        decodable or not canonical, or if a sub-lane does not end where the
+        directory says the next one starts, so a loaded matrix is
+        bit-identical to compressing its own elements.  It keeps no
+        element: a loaded matrix holds only its words and directory.
         """
         heads, pos = _walk(buf, rows * cols, k)
         if buf.words.size != -(-pos // WORD_BITS) + 1:
@@ -292,7 +295,7 @@ class VlbMatrix:
         directory = _directory(np.frombuffer(heads, dtype=np.int64))
         del heads
         m = cls(rows, cols, k, order, buf, *directory)
-        m._loaded = m._decode()
+        deque(m._blocks(np.empty(min(rows * cols, _GROUP * _SUBLANE), np.uint64)), maxlen=0)
         return m
 
     def get(self, i: int, j: int) -> int:
@@ -301,7 +304,8 @@ class VlbMatrix:
         The sub-lane starts ``offsets[s]`` bits after its lane's
         checkpoint, so at most 7 prefixes lie between it and the element.
         It ends where the next sub-lane starts, or at the end of the
-        stream for the last one; ``_hop`` raises CorruptStream past that
+        stream for the last one; CorruptStream is raised where a hopped
+        prefix, or the element's own prefix or payload, runs past that
         end.  Its words, plus one, are read as one Python int, shifted so
         the sub-lane starts at bit 0: hops, prefix and payload are all
         shifts and masks of that int.
@@ -316,28 +320,37 @@ class VlbMatrix:
             end = cps.item((s + 1) // _PER) + offs.item(s + 1)
         x = _bits(self.data.words, pos, (end >> 6) + 2)
         k = self.k
-        p = _hop(x, idx - s * _SUBLANE, k, end - pos)
-        return x >> (p + k) & ((1 << (x >> p & ((1 << k) - 1))) - 1)
+        limit = end - pos
+        p = _hop(x, idx - s * _SUBLANE, k, limit)
+        if p > limit - k:
+            raise CorruptStream("prefix runs past end of stream")
+        b = x >> p & ((1 << k) - 1)
+        if p + k + b > limit:
+            raise CorruptStream("payload runs past end of stream")
+        return x >> (p + k) & ((1 << b) - 1)
 
     def values(self) -> np.ndarray:
-        """All elements in unravel order, as a new uint64 array."""
-        out, self._loaded = self._loaded, None
-        return self._decode() if out is None else out
+        """All elements in unravel order, as a new uint64 array, decoded in place."""
+        out = np.empty(self.rows * self.cols, dtype=np.uint64)
+        deque(self._blocks(out), maxlen=0)  # drain the generator: it fills ``out``
+        return out
 
-    def _decode(self) -> np.ndarray:
-        """Decode and validate the whole stream, one sub-lane per directory entry.
+    def _blocks(self, out: np.ndarray):
+        """Decode and validate the stream, one block of ``_GROUP`` sub-lanes at a time.
 
-        Sub-lanes are decoded in blocks of ``_GROUP``, whose starts are the
-        only ones held at a time.  All sub-lanes of a block hop one element
-        per vectorised step, reading prefixes and storing element starts
-        (8 steps per block).  A pass over groups of whole sub-lanes
-        then takes each prefix as the gap to the next start in its
-        sub-lane, raises CorruptStream on a prefix or payload past the end
-        of the stream or a prefix that is 0, above 64 or not the bit-length
-        of its payload, and overwrites the starts with the payloads.  Each
-        sub-lane must end where the next starts, the last at the end of the
-        stream, every sub-lane at a lane's start must have offset 0, and
-        ``k`` must be the bit-length of the largest prefix.
+        Only a block's sub-lane starts are held.  Its elements, from ``e0``
+        on, go to ``out[e0 % out.size:]``, so ``out`` holds every element or
+        one block reused, and ``(e0, block)`` is yielded once it is checked.
+        All sub-lanes of a block hop one element per vectorised step,
+        reading prefixes and storing element starts (8 steps per block).  A
+        pass over groups of whole sub-lanes then takes each prefix as the
+        gap to the next start in its sub-lane, raises CorruptStream on a
+        prefix or payload past the end of the stream or a prefix that is 0,
+        above 64 or not the bit-length of its payload, and overwrites the
+        starts with the payloads.  Each sub-lane must end where the next
+        starts, the last at the end of the stream, every sub-lane at a
+        lane's start must have offset 0, and ``k`` must be the bit-length of
+        the largest prefix, checked on a running maximum after the last block.
         """
         n = self.rows * self.cols
         k = self.k
@@ -348,7 +361,7 @@ class VlbMatrix:
         if offs[::_PER].any():
             raise CorruptStream("a sub-lane at the start of its lane has a nonzero offset")
         lanes = -(-n // _SUBLANE)
-        out = np.empty(n, dtype=np.uint64)
+        top = 0
         cap = max(limit - k, 0)  # where a corrupt sub-lane hops past the end, the checks below fail
         for s0 in range(0, lanes, _GROUP):
             s1 = min(s0 + _GROUP, lanes)
@@ -356,7 +369,7 @@ class VlbMatrix:
             lane_pos += offs[s0:s1]
             after = cps.item(s1 // _PER) + offs.item(s1) if s1 < lanes else limit
             e0, e1 = s0 * _SUBLANE, min(s1 * _SUBLANE, n)
-            block = out[e0:e1]
+            block = out[e0 % out.size :][: e1 - e0]
             last_len = e1 - (s1 - 1) * _SUBLANE  # elements in the block's last sub-lane
             for t in range(min(_SUBLANE, e1 - e0)):
                 pos = lane_pos[: s1 - s0 if t < last_len else s1 - s0 - 1]
@@ -383,32 +396,13 @@ class VlbMatrix:
                 block[a : a + _GROUP] = v
             if not seams:
                 raise CorruptStream("a checkpoint lane does not end where the next one starts")
-        top = bit_length(int(out.max()))  # the largest prefix, as payloads are canonical
+            top = max(top, int(block.max()))
+            yield e0, block
+        top = bit_length(top)  # the largest prefix, as payloads are canonical
         if k != bit_length(top):
             raise CorruptStream(
                 f"prefix width {k} is not the bit-length of the largest prefix {top}"
             )
-        return out
 
     def decompress(self) -> np.ndarray:
         return flat_to_dense(self.values(), self.rows, self.cols, self.order)
-
-    @property
-    def bits_used(self) -> int:
-        return self.data.bit_len
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VlbMatrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.k == other.k
-            and self.order == other.order
-            and self.data == other.data
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"VlbMatrix({self.rows}x{self.cols}, k={self.k}, order={self.order!r})"

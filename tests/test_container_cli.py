@@ -1,3 +1,4 @@
+import csv
 import os
 import struct
 import subprocess
@@ -173,6 +174,22 @@ def test_load_bytes_memory_beyond_its_output_is_bounded():
     assert out.tolist() == dense.ravel().tolist()
     kept = out.nbytes + m.data.words.nbytes + m.checkpoints.nbytes + m.offsets.nbytes
     assert peak - kept <= 384 * 1024  # the payload is not copied beside its words
+
+
+def test_a_loaded_vlb_matrix_holds_only_its_words_and_directory():
+    dense = sample_matrix(Uniform(1, 24), 1000, 1000, 7)
+    blob = dump_bytes(VlbMatrix.compress(dense))
+    tracemalloc.start()
+    try:
+        m = load_bytes(blob).inner
+        loaded = tracemalloc.get_traced_memory()[0]
+        x = m.get(500, 499)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert x == dense[500, 499]
+    packed = m.data.words.nbytes + m.checkpoints.nbytes + m.offsets.nbytes
+    assert loaded <= packed + 2**18 and held <= packed + 2**18  # no element kept at 8 B
 
 
 def test_container_accepts_widened_sm(worked_row):
@@ -613,6 +630,20 @@ def test_cli_experiment_table_preset_deterministic(tmp_path):
     assert len(lines) == 2 + 4 * 2  # comment, header, 4 params x 2 sizes
 
 
+def test_cli_experiment_prints_the_rows_of_its_csv_file(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    args = ["experiment", "--table", "3", "--size", "100", "--replicates", "2", "--seed", "5"]
+    assert main(args + ["--csv", str(out)]) == 0
+    assert main(args) == 0
+    printed = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    with open(out, newline="") as f:
+        written = list(csv.reader(l for l in f if not l.startswith("#")))
+    rows = list(csv.reader(printed))
+    assert all(len(r) == len(rows[0]) for r in rows)
+    assert ["uniform(1,8)", "8"] in [r[:2] for r in rows]  # a label with a comma, quoted
+    assert rows == written
+
+
 def test_cli_experiment_custom_dist(tmp_path):
     out = tmp_path / "c.csv"
     assert main([
@@ -692,7 +723,7 @@ def test_loaded_vlb_decodes_again_after_the_load_decode():
 
 
 @pytest.mark.parametrize("command", ["info", "decompress"])
-def test_cli_decodes_a_vlb_stream_once(tmp_path, monkeypatch, capsys, command):
+def test_cli_keeps_no_decoded_array_of_a_loaded_vlb_stream(tmp_path, monkeypatch, capsys, command):
     box = tmp_path / "m.ccm"
     save_matrix(CompressedMatrix.compress(random_matrix(5, rows=20, cols=30), method="vlb"), box)
     loaded = []
@@ -702,11 +733,15 @@ def test_cli_decodes_a_vlb_stream_once(tmp_path, monkeypatch, capsys, command):
         return loaded[-1]
 
     monkeypatch.setattr(cli, "load_matrix", load)
-    decodes = count_calls(monkeypatch, VlbMatrix, "values")
+    values = count_calls(monkeypatch, VlbMatrix, "values")
+    decodes = count_calls(monkeypatch, VlbMatrix, "_blocks")
     argv = [command, str(box)] + ([str(tmp_path / "m.txt")] if command == "decompress" else [])
     assert main(argv) == 0
-    assert len(decodes) == 1
-    assert loaded[0].inner._loaded is None  # no decoded array outlives the command
+    assert len(values) == 1 and len(decodes) == 2  # the load validates, then values() decodes
+    inner = loaded[0].inner
+    held = [getattr(inner, name) for name in inner.__slots__]
+    # no decoded array outlives the command: the directory has one entry per 8 elements
+    assert not any(isinstance(a, np.ndarray) and a.size >= 20 * 30 for a in held)
 
 
 def report_lines(m):
@@ -731,7 +766,7 @@ def test_cli_compress_reports_without_decoding(tmp_path, monkeypatch, capsys, me
     src.write_text(format_text_matrix(random_matrix(6, rows=20, cols=30, top=40)))
     box = tmp_path / "m.ccm"
     calls = [
-        count_calls(monkeypatch, VlbMatrix, "_decode"),
+        count_calls(monkeypatch, VlbMatrix, "_blocks"),
         count_calls(monkeypatch, SmMatrix, "values"),
         count_calls(monkeypatch, cli, "measure"),
     ]

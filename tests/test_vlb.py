@@ -130,11 +130,19 @@ def test_get_raises_where_a_prefix_runs_past_its_sub_lane():
     offsets[1] = starts[3] + m.k - 1  # sub-lane 0 now ends inside the prefix of element 3
     cut = m.data.copy()
     cut.bit_len = starts[12] + m.k - 1  # the last sub-lane ends inside that of element 12
-    for data, offs, e in ((m.data, offsets, 4), (cut, m.offsets, 13)):
+    short = m.data.copy()
+    short.bit_len -= 1  # the last sub-lane ends inside the payload of element 15
+    for data, offs, bad, what in (
+        (m.data, offsets, (3, 4), "prefix"),
+        (cut, m.offsets, (12, 13), "prefix"),
+        (short, m.offsets, (15,), "payload"),
+    ):
         forged = VlbMatrix(1, 16, m.k, "row", data, m.checkpoints, offs)
-        assert forged.get(0, e - 2) == values[e - 2]  # wholly inside its sub-lane
-        with pytest.raises(CorruptStream, match="prefix runs past end of stream"):
-            forged.get(0, e)
+        e = bad[0] - 1
+        assert forged.get(0, e) == values[e]  # wholly inside its sub-lane
+        for e in bad:  # the element's own prefix or payload, or a hopped prefix, runs past
+            with pytest.raises(CorruptStream, match=f"{what} runs past end of stream"):
+                forged.get(0, e)
 
 
 def test_checkpoints_start_at_origin_and_increase(rng):
