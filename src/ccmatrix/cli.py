@@ -1,12 +1,14 @@
 """Command-line interface: compress, decompress, info, experiment, sweep.
 
-Exit codes: 0 success, 2 parse/validation error, 3 I/O error.
+Exit codes: 0 success, 1 stdout closed by its reader (a broken pipe),
+2 parse/validation error, 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import warnings
 from functools import cache
@@ -15,6 +17,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import experiments
+from ._dense import ROW_MAJOR, dense_to_flat
 from .bitstream import U64_MAX
 from .cmatrix import CompressedMatrix
 from .container import load_matrix, save_matrix
@@ -117,12 +120,51 @@ def _parse_fields(text: str) -> np.ndarray:
     return flat.reshape(len(widths), widths[0])
 
 
+def _digit_table() -> np.ndarray:
+    """The 4 ASCII bytes of each group 0..9999 as one uint32: zero-padded, then with
+    NULs for leading zeros, then NUL NUL NUL ``0`` for the last group of a zero value."""
+    d = np.arange(10_000, dtype=np.uint16)[:, None]
+    scale = np.array([1000, 100, 10, 1], np.uint16)
+    padded = (d // scale % 10 + ord("0")).astype(np.uint8)
+    zero = np.array([[0, 0, 0, ord("0")]], np.uint8)
+    return np.concatenate([padded, padded * (d >= scale), zero]).view(np.uint32).ravel()
+
+
+_DIGITS = _digit_table()
+_GROUP = np.uint64(10_000)  # one table lookup per 4 decimal digits
+_SPACE, _NEWLINE = np.frombuffer(b" \0\0\0\n\0\0\0", np.uint32)
+_TEXT_BLOCK = 8192  # values per block of text: its buffers stay small
+
+
 def format_text_matrix(dense) -> str:
     """Format a 2-D array or nested sequences of non-negative ints as a str:
-    per row, decimal values joined by single spaces, ended by a newline."""
-    rows = dense if isinstance(dense, np.ndarray) else np.asarray(dense, dtype=object)
-    line = " ".join(["%d"] * rows.shape[1]) + "\n"
-    return "".join([line % tuple(row.tolist()) for row in rows])
+    per row, decimal values joined by single spaces, ended by a newline.
+
+    The values are written ``_TEXT_BLOCK`` at a time into a reused buffer:
+    per value, one uint32 cell per 4-digit group that the widest value
+    needs, each one lookup in ``_DIGITS``, and one for the separator.
+    ``bytes.translate`` strips the NULs of leading zeros."""
+    _, cols, flat = dense_to_flat(dense, ROW_MAJOR)
+    groups = -(-len(str(int(flat.max()))) // 4)
+    buf = np.empty((groups + 1, min(flat.size, _TEXT_BLOCK)), np.uint32)
+    parts = []
+    for e0 in range(0, flat.size, _TEXT_BLOCK):
+        v = flat[e0 : e0 + _TEXT_BLOCK]
+        cells = buf[:, : v.size]
+        q = v
+        for c in range(groups - 1, -1, -1):  # the last group first
+            high = q // _GROUP
+            g = q - high * _GROUP  # the remainder: ``%`` is several times slower
+            g += (high == 0) * _GROUP  # a leading group: NULs for its leading zeros
+            if c == groups - 1:
+                g += (v == 0) * _GROUP  # a zero value writes ``0``
+            _DIGITS.take(g, out=cells[c], mode="clip")
+            q = high
+        cells[groups] = _SPACE
+        cells[groups, (cols - 1 - e0) % cols :: cols] = _NEWLINE
+        parts.append(cells.T.tobytes().translate(None, b"\0").decode("ascii"))
+    del buf, cells, q, g, high  # freed before the join
+    return "".join(parts)
 
 
 def _print_report(m: CompressedMatrix, show_histogram: bool = False) -> None:
@@ -131,7 +173,7 @@ def _print_report(m: CompressedMatrix, show_histogram: bool = False) -> None:
     Every line but the histogram comes from the header fields and the
     packed size (:func:`bit_accounting`), so ``compress`` decodes nothing.
     The histogram, which ``info`` prints, comes from :func:`measure`,
-    which decodes ``m`` once."""
+    which reads the bit-lengths block by block and keeps no element."""
     inner = m.inner
     allocated, used, eta = bit_accounting(m)
     print(f"method: {m.method}")
@@ -315,7 +357,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed early fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone: point stdout at devnull so the flush at
+        # exit cannot fail again, as Python's note on SIGPIPE advises
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -15,9 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .bitstream import bit_length, bit_lengths
+from .bitstream import bit_length
 from .cmatrix import CompressedMatrix
 from .sm import SmMatrix
 from .vlb import VlbMatrix
@@ -165,14 +163,16 @@ def measure(m: CompressedMatrix | SmMatrix | VlbMatrix) -> EfficiencyReport:
 
     ``bits_allocated``, ``bits_used`` and ``eta`` come from
     :func:`bit_accounting`.  The histogram counts the bit-lengths of the
-    elements, so it decodes the whole matrix once; a caller that needs
-    only the three figures calls :func:`bit_accounting` instead.  ``k`` is
+    elements, block by block (``bit_length_counts``): a length-prefixed
+    matrix reads them from its prefixes and decodes no payload, a
+    fixed-width one unpacks its chunks a block at a time.  A caller that
+    needs only the three figures calls :func:`bit_accounting` instead.  ``k`` is
     the prefix width the matrix actually stores, or for fixed-width
     matrices the equivalent derived value (bit-length of the largest
     bit-length present).
     """
     inner = m.inner if isinstance(m, CompressedMatrix) else m
-    counts = np.bincount(bit_lengths(inner.values())).tolist()
+    counts = inner.bit_length_counts().tolist()
     histogram = {b: f for b, f in enumerate(counts) if f}
     allocated, used, eta = bit_accounting(inner)
     if isinstance(inner, VlbMatrix):

@@ -21,9 +21,11 @@ from ._dense import (
     ROW_MAJOR, PackedMatrix, check_order, dense_to_flat, flat_to_dense, unravel_index
 )
 from .bitstream import (
+    _BLOCK,
     WORD_BITS,
     BitBuffer,
     bit_length,
+    bit_lengths,
     pack_fields,
     read_bits,
     unpack_fields,
@@ -106,6 +108,16 @@ class SmMatrix(PackedMatrix):
         """All elements in unravel order, as a uint64 array."""
         n = self.rows * self.cols
         return unpack_fields(self.data.words, range(0, n * self.width, self.width), self.width)
+
+    def bit_length_counts(self) -> np.ndarray:
+        """How many elements have each bit-length 0..64, unpacked ``_BLOCK`` at a time,
+        so no array of ``n`` elements is built."""
+        n, w = self.rows * self.cols, self.width
+        counts = np.zeros(WORD_BITS + 1, np.int64)
+        for e0 in range(0, n, _BLOCK):
+            block = unpack_fields(self.data.words, range(e0 * w, min(e0 + _BLOCK, n) * w, w), w)
+            counts += np.bincount(bit_lengths(block), minlength=WORD_BITS + 1)
+        return counts
 
     def decompress(self) -> np.ndarray:
         return flat_to_dense(self.values(), self.rows, self.cols, self.order)

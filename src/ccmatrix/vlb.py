@@ -32,7 +32,8 @@ sub-lane.  ``from_buffer`` finds every sub-lane start with ``_walk``,
 which hops the whole stream through a table indexed by bit position, as
 table-driven decoders of prefix codes do (Moffat & Turpin, "On the
 Implementation of Minimum Redundancy Prefix Codes", 1997): the table is
-built a block at a time, so each hop is one byte lookup.  A table costs
+built a block at a time by one gather from ``_HOPS[k]``, so each hop is
+one byte lookup.  A table costs
 more to build than the hops of one ``get`` save, so ``get`` keeps
 ``_hop``; ``_walk`` also falls back on ``_hop``, one sub-lane int at a
 time, for a lane that runs past the stream, to raise its error.
@@ -43,7 +44,8 @@ rejects words or set bits past the stream's end, builds the directory
 from those starts as ``compress`` builds it from the element starts, and
 drains the decoder through one reused block; the decoder rejects every
 stream that is not the canonical encoding of its elements, or whose
-sub-lanes do not meet where the directory says.
+sub-lanes do not meet where the directory says.  ``bit_length_counts``
+runs its prefix hops alone: each prefix is its element's bit-length.
 """
 
 from __future__ import annotations
@@ -98,27 +100,38 @@ def _hop(x: int, count: int, k: int, limit: int) -> int:
     return p
 
 
+def _hop_bytes(k: int) -> np.ndarray:
+    """Byte ``r`` of entry ``x``: ``k`` + the ``k``-bit field at bit ``r`` of ``x``, for ``r < 8``."""
+    x = np.arange(1 << (k + 7), dtype=np.uint16)
+    hops = np.empty((x.size, 8), np.uint8)
+    for r in range(8):
+        hops[:, r] = x >> r & (1 << k) - 1
+    hops += k
+    return hops.view("<u8").ravel()
+
+
+_HOPS = (None, *map(_hop_bytes, range(1, 8)))  # by k, of every k+7-bit window: 254 KiB in all
+
+
 def _hop_table(words: np.ndarray, base: int, size: int, k: int) -> bytearray:
     """``P[q]`` = ``k`` + the ``k``-bit field at bit ``base + q``, for ``q < size``.
 
     That is the number of bits from an element starting at ``base + q`` to
-    the next.  ``base`` is a multiple of 8.  Eight shift passes, one per bit
-    offset, cut the fields out of the 16-bit windows starting at each
-    stream byte (``k + 7 <= 14`` bits fit); bits past ``words`` read as 0.
+    the next.  ``base`` is a multiple of 8.  The 8 bytes of ``P`` for the
+    bits of one stream byte are one entry of ``_HOPS[k]``, looked up by the
+    16-bit window starting at that byte, masked to ``k + 7 <= 14`` bits;
+    bits past ``words`` read as 0.
     """
-    nb = -(-size // 8)  # table bytes per bit offset
+    nb = -(-size // 8)  # stream bytes whose bits ``P`` covers
     w0 = base >> 6
     src = words[w0 : w0 + nb // 8 + 3].astype("<u8", copy=False).view(np.uint8)
     src = src[(base >> 3) & 7 :][: nb + 1]
     win = np.zeros(nb + 1, dtype=np.uint16)
     win[: src.size] = src
     win[:-1] |= win[1:] << 8
+    win &= (1 << (k + 7)) - 1
     table = bytearray(8 * nb)
-    p = np.frombuffer(table, dtype=np.uint8).reshape(nb, 8)
-    for r in range(8):
-        p[:, r] = win[:-1] >> r  # the low byte holds the field
-    p &= (1 << k) - 1
-    p += k
+    _HOPS[k].take(win[:-1], out=np.frombuffer(table, dtype="<u8"), mode="clip")  # unbuffered
     return table
 
 
@@ -129,7 +142,8 @@ def _walk(buf: BitBuffer, n: int, k: int) -> tuple[array, int]:
     forged header may declare any size), and the bit where the stream
     ends.  Each lane runs ``q += P[q]`` per element through a
     :func:`_hop_table` ``P`` that covers ``_BLOCK`` bits of lane starts
-    plus the most bits one lane can hop (64 * (7 + 127) = 8,576 at most).
+    plus the most bits one lane can hop (64 * (7 + 127) = 8,576 at most),
+    one lookup in ``_HOPS[k]`` per stream byte.
     It is rebuilt at the first lane that starts past that span, so no hop
     indexes past it or needs a test.  A lane that ends past
     ``buf.bit_len`` may have read past the stream, so ``_hop`` walks it and
@@ -200,6 +214,28 @@ def _corrupt(pos: np.ndarray, b: np.ndarray, k: int, limit: int, v=None) -> Corr
     if p + k + bi > limit:
         return CorruptStream("payload runs past end of stream")
     return CorruptStream(f"prefix {bi} at bit {p} is not the bit-length of its payload")
+
+
+def _prefixes(block: np.ndarray, ends: np.ndarray, seams: bool, k: int, limit: int):
+    """Yield ``(a, pos, b)`` per group of ``_GROUP`` element starts ``pos = block[a:]``.
+
+    ``ends`` holds where each sub-lane ends, and ``b`` each prefix, the gap
+    to the next start in its sub-lane less ``k``.  Raises CorruptStream on
+    a prefix or payload past bit ``limit`` or a prefix that is 0 or above
+    64, and after the last group unless ``seams``.
+    """
+    for a in range(0, block.size, _GROUP):
+        pos = block[a : a + _GROUP].view(np.int64)
+        group_ends = ends[a // _SUBLANE : (a + _GROUP) // _SUBLANE]
+        b = np.append(pos[1:], group_ends[-1])  # where the next element of the sub-lane starts
+        b[_SUBLANE - 1 :: _SUBLANE] = group_ends[: b.size // _SUBLANE]
+        b -= pos
+        b -= k
+        if group_ends.max() > limit or b.min() < 1 or b.max() > WORD_BITS:
+            raise _corrupt(pos, b, k, limit)
+        yield a, pos, b
+    if not seams:
+        raise CorruptStream("a checkpoint lane does not end where the next one starts")
 
 
 class VlbMatrix(PackedMatrix):
@@ -335,22 +371,32 @@ class VlbMatrix(PackedMatrix):
         deque(self._blocks(out), maxlen=0)  # drain the generator: it fills ``out``
         return out
 
-    def _blocks(self, out: np.ndarray):
-        """Decode and validate the stream, one block of ``_GROUP`` sub-lanes at a time.
+    def bit_length_counts(self) -> np.ndarray:
+        """How many elements have each bit-length 0..64, read from the prefixes alone.
+
+        They are hopped and checked as in :meth:`_blocks`, but no payload
+        is read or checked to be canonical: ``compress`` and
+        ``from_buffer`` establish that."""
+        counts = np.zeros(WORD_BITS + 1, np.int64)
+        out = np.empty(min(self.rows * self.cols, _GROUP * _SUBLANE), np.uint64)
+        for _, _, prefixes in self._starts(out):
+            for _, _, b in prefixes:
+                counts += np.bincount(b, minlength=WORD_BITS + 1)
+        return counts
+
+    def _starts(self, out: np.ndarray):
+        """Hop the prefixes of every sub-lane, one block of ``_GROUP`` sub-lanes at a time.
 
         Only a block's sub-lane starts are held.  Its elements, from ``e0``
         on, go to ``out[e0 % out.size:]``, so ``out`` holds every element or
-        one block reused, and ``(e0, block)`` is yielded once it is checked.
-        All sub-lanes of a block hop one element per vectorised step,
-        reading prefixes and storing element starts (8 steps per block).  A
-        pass over groups of whole sub-lanes then takes each prefix as the
-        gap to the next start in its sub-lane, raises CorruptStream on a
-        prefix or payload past the end of the stream or a prefix that is 0,
-        above 64 or not the bit-length of its payload, and overwrites the
-        starts with the payloads.  Each sub-lane must end where the next
-        starts, the last at the end of the stream, every sub-lane at a
-        lane's start must have offset 0, and ``k`` must be the bit-length of
-        the largest prefix, checked on a running maximum after the last block.
+        one block reused.  All sub-lanes of a block hop one element per
+        vectorised step, reading prefixes only (8 steps per block), and
+        store each element's start in the block; a prefix past the end of
+        the stream is read at its last bit, and fails the checks of the
+        block's :func:`_prefixes`, yielded as ``(e0, block, prefixes)``.
+        Each sub-lane must end where the directory says the next starts, the
+        last at the end of the stream, and start at offset 0 if it starts a
+        lane, or CorruptStream is raised.
         """
         n = self.rows * self.cols
         k = self.k
@@ -361,8 +407,7 @@ class VlbMatrix(PackedMatrix):
         if offs[::_PER].any():
             raise CorruptStream("a sub-lane at the start of its lane has a nonzero offset")
         lanes = -(-n // _SUBLANE)
-        top = 0
-        cap = max(limit - k, 0)  # where a corrupt sub-lane hops past the end, the checks below fail
+        cap = max(limit - k, 0)
         for s0 in range(0, lanes, _GROUP):
             s1 = min(s0 + _GROUP, lanes)
             lane_pos = cps[np.arange(s0, s1) // _PER]
@@ -380,22 +425,27 @@ class VlbMatrix(PackedMatrix):
             # block[8::8] still holds where each sub-lane but the first starts
             nxt = block[_SUBLANE::_SUBLANE].view(np.int64)
             seams = lane_pos.item(-1) == after and (lane_pos[:-1] == nxt).all()
-            for a in range(0, e1 - e0, _GROUP):
-                pos = block[a : a + _GROUP].view(np.int64)
-                ends = lane_pos[a // _SUBLANE : (a + _GROUP) // _SUBLANE]
-                b = np.append(pos[1:], ends[-1])  # where the next element of the sub-lane starts
-                b[_SUBLANE - 1 :: _SUBLANE] = ends[: b.size // _SUBLANE]
-                b -= pos
-                b -= k
-                if ends.max() > limit or b.min() < 1 or b.max() > WORD_BITS:
-                    raise _corrupt(pos, b, k, limit)
+            yield e0, block, _prefixes(block, lane_pos, seams, k, limit)
+
+    def _blocks(self, out: np.ndarray):
+        """Decode and validate the stream, one block of ``_GROUP`` sub-lanes at a time.
+
+        ``(e0, block)`` is yielded once the block of :meth:`_starts` holds
+        its elements and is checked: each group's payloads are extracted
+        and CorruptStream is raised where a prefix is not the bit-length of
+        its payload.  ``k`` must be the bit-length of the largest prefix,
+        checked on a running maximum after the last block.
+        """
+        k = self.k
+        words = self.data.words
+        top = 0
+        for e0, block, prefixes in self._starts(out):
+            for a, pos, b in prefixes:
                 v = unpack_fields(words, pos + k, b)
                 # (v | 1) >> (b - 1) is 0 where a payload wider than 1 bit lacks its top bit
                 if ((v | 1) >> (b - 1).view(np.uint64)).min() == 0:
-                    raise _corrupt(pos, b, k, limit, v)
+                    raise _corrupt(pos, b, k, self.data.bit_len, v)
                 block[a : a + _GROUP] = v
-            if not seams:
-                raise CorruptStream("a checkpoint lane does not end where the next one starts")
             top = max(top, int(block.max()))
             yield e0, block
         top = bit_length(top)  # the largest prefix, as payloads are canonical

@@ -121,6 +121,33 @@ def reference_walk(buf, n, k):
     return starts, pos
 
 
+def reference_hop_table(words, base, size, k):
+    """Reference hop table: for each bit offset ``r`` of each stream byte from ``base``
+    on, ``k`` + the ``k``-bit field at that bit, cut by 8 shift passes over the 16-bit
+    windows starting at each byte; bits past ``words`` read as 0."""
+    nb = -(-size // 8)
+    w0 = base >> 6
+    src = words[w0 : w0 + nb // 8 + 3].astype("<u8", copy=False).view(np.uint8)
+    src = src[(base >> 3) & 7 :][: nb + 1]
+    win = np.zeros(nb + 1, dtype=np.uint16)
+    win[: src.size] = src
+    win[:-1] |= win[1:] << 8
+    table = bytearray(8 * nb)
+    p = np.frombuffer(table, dtype=np.uint8).reshape(nb, 8)
+    for r in range(8):
+        p[:, r] = win[:-1] >> r  # the low byte holds the field
+    p &= (1 << k) - 1
+    p += k
+    return table
+
+
+def reference_format_text_matrix(dense):
+    """Reference text writer: each row through one ``%d`` template."""
+    rows = dense if isinstance(dense, np.ndarray) else np.asarray(dense, dtype=object)
+    line = " ".join(["%d"] * rows.shape[1]) + "\n"
+    return "".join([line % tuple(row.tolist()) for row in rows])
+
+
 def reference_parse_text_matrix(text):
     """Reference text parser: one ``int()`` and range check per field into lists."""
     rows = []

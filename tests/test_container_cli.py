@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ccmatrix import cli, vlb
+from ccmatrix.bitstream import U64_MAX
 from ccmatrix.cli import format_text_matrix, main, parse_text_matrix
 from ccmatrix._dense import dense_to_flat
 from ccmatrix.cmatrix import CompressedMatrix
@@ -23,7 +24,12 @@ from ccmatrix.genmat import Uniform, sample_matrix
 from ccmatrix.sm import SmMatrix
 from ccmatrix.vlb import VlbMatrix
 
-from conftest import WORKED_ROW, count_calls, reference_parse_text_matrix
+from conftest import (
+    WORKED_ROW,
+    count_calls,
+    reference_format_text_matrix,
+    reference_parse_text_matrix,
+)
 
 
 def random_matrix(seed, rows=6, cols=5, top=32):
@@ -480,6 +486,40 @@ def test_text_io_memory_is_bounded():
     assert peak <= 1.5 * 2**20
 
 
+# digit-count edges: one and two digits, one and two 4-digit groups, 10**k +- 1, the largest
+TEXT_EDGES = [0, 9, 10, 9999, 10000, U64_MAX] + [10**k + d for k in range(1, 20) for d in (-1, 1)]
+text_values = st.one_of(st.sampled_from(TEXT_EDGES), st.integers(0, U64_MAX))
+
+
+@given(
+    data=st.data(),
+    shape=st.sampled_from(["1x1", "1xn", "nx1", "mxn"]),
+    kind=st.sampled_from(["array", "fortran", "nested"]),
+)
+@settings(max_examples=200)
+def test_format_text_matrix_matches_the_percent_d_writer(data, shape, kind):
+    n = data.draw(st.integers(1, 40))
+    rows, cols = {"1x1": (1, 1), "1xn": (1, n), "nx1": (n, 1)}.get(shape) or (
+        data.draw(st.integers(2, 20)), n
+    )
+    values = data.draw(st.lists(text_values, min_size=rows * cols, max_size=rows * cols))
+    dense = np.array(values, dtype=np.uint64).reshape(rows, cols)
+    if kind == "fortran":
+        dense = np.asfortranarray(dense)
+    elif kind == "nested":
+        dense = dense.tolist()
+    assert format_text_matrix(dense) == reference_format_text_matrix(dense)
+
+
+@pytest.mark.parametrize("shape", [(97, 211), (1, 20000), (20000, 1)])
+def test_format_text_matrix_matches_the_percent_d_writer_across_blocks(shape):
+    dense = sample_matrix(Uniform(1, 64), *shape, 11)
+    flat = dense.ravel()  # a view
+    flat[::7] = 0
+    flat[3::7] = np.resize(np.array(TEXT_EDGES, dtype=np.uint64), flat[3::7].size)
+    assert format_text_matrix(dense) == reference_format_text_matrix(dense)
+
+
 def test_parse_memory_does_not_grow_at_scale():
     text = format_text_matrix(sample_matrix(Uniform(1, 64), 1000, 1000, 7))  # 11.2 MB
     out, peak = traced_peak(parse_text_matrix, text)
@@ -722,8 +762,14 @@ def test_loaded_vlb_decodes_again_after_the_load_decode():
     assert (first == second).all() and (m.decompress() == dense).all()
 
 
-@pytest.mark.parametrize("command", ["info", "decompress"])
-def test_cli_keeps_no_decoded_array_of_a_loaded_vlb_stream(tmp_path, monkeypatch, capsys, command):
+# (values() calls, lane decodes, prefix passes): the load decodes to validate;
+# info then reads only the prefixes, decompress decodes again
+@pytest.mark.parametrize(
+    "command, counts", [("info", (0, 1, 1)), ("decompress", (1, 2, 0))], ids=["info", "decompress"]
+)
+def test_cli_keeps_no_decoded_array_of_a_loaded_vlb_stream(
+    tmp_path, monkeypatch, capsys, command, counts
+):
     box = tmp_path / "m.ccm"
     save_matrix(CompressedMatrix.compress(random_matrix(5, rows=20, cols=30), method="vlb"), box)
     loaded = []
@@ -735,9 +781,10 @@ def test_cli_keeps_no_decoded_array_of_a_loaded_vlb_stream(tmp_path, monkeypatch
     monkeypatch.setattr(cli, "load_matrix", load)
     values = count_calls(monkeypatch, VlbMatrix, "values")
     decodes = count_calls(monkeypatch, VlbMatrix, "_blocks")
+    passes = count_calls(monkeypatch, VlbMatrix, "bit_length_counts")
     argv = [command, str(box)] + ([str(tmp_path / "m.txt")] if command == "decompress" else [])
     assert main(argv) == 0
-    assert len(values) == 1 and len(decodes) == 2  # the load validates, then values() decodes
+    assert (len(values), len(decodes), len(passes)) == counts
     inner = loaded[0].inner
     held = [getattr(inner, name) for name in inner.__slots__]
     # no decoded array outlives the command: the directory has one entry per 8 elements
@@ -785,15 +832,36 @@ def test_cli_compress_reports_without_decoding(tmp_path, monkeypatch, capsys, me
     )
 
 
-def run_module(*argv, timeout=120):
-    """Run ``python -m ccmatrix`` in a child process on this checkout's sources."""
+def module_env():
+    """The environment of a child ``python -m ccmatrix`` on this checkout's sources."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_module(*argv, timeout=120):
+    """Run ``python -m ccmatrix`` in a child process on this checkout's sources."""
     return subprocess.run(
-        [sys.executable, "-m", "ccmatrix", *argv], env=env, capture_output=True, text=True,
-        timeout=timeout,
+        [sys.executable, "-m", "ccmatrix", *argv], env=module_env(), capture_output=True,
+        text=True, timeout=timeout,
     )
+
+
+def test_a_reader_that_closes_stdout_early_ends_the_cli_quietly():
+    # 4,096 grid points, about 200 KB of CSV: more than a pipe holds, so the
+    # CLI is still writing when its reader has gone
+    argv = ["sweep", "--step", "8", "--size", "100"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "ccmatrix", *argv], env=module_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as child:
+        head = [child.stdout.readline() for _ in range(2)]
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=120)
+    assert head[0].startswith(b"# grid step=8") and head[1].startswith(b"# sm_favored=")
+    assert code == 1 and err == b""  # not 3, the exit of an unreadable input file
 
 
 def test_python_dash_m_runs_the_cli(capsys):

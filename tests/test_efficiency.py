@@ -1,8 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from ccmatrix.bitstream import bit_length
+from ccmatrix.bitstream import bit_length, bit_lengths
 from ccmatrix.cmatrix import CompressedMatrix
 from ccmatrix.efficiency import (
     compare,
@@ -13,7 +14,11 @@ from ccmatrix.efficiency import (
     measure,
     solve_two_point,
 )
+from ccmatrix.errors import CorruptStream
 from ccmatrix.genmat import Constant, Uniform, sample_matrix
+from ccmatrix.vlb import VlbMatrix
+
+from conftest import SIZES, element_starts, shape_of
 
 
 # combinations of (p1, p2) over bit-lengths {1, 64} and the efficiency each yields
@@ -205,3 +210,60 @@ def test_eta2_monotone_in_mass_shift(rng):
         before = eta2({int(lo): f_lo, int(hi): f_hi}, 7)
         after = eta2({int(lo): f_lo - 1, int(hi): f_hi + 1}, 7)
         assert after < before
+
+
+def decoded_histogram(m):
+    """The bit-length histogram of the decoded elements of ``m``."""
+    counts = np.bincount(bit_lengths(m.inner.values()))
+    return {b: int(f) for b, f in enumerate(counts) if f}
+
+
+@pytest.mark.parametrize("method", ["sm", "vlb"])
+@pytest.mark.parametrize("order", ["row", "col"])
+@pytest.mark.parametrize("size", SIZES)
+def test_measure_histogram_counts_the_decoded_bit_lengths(method, order, size):
+    dense = sample_matrix(Uniform(1, 64), *shape_of(size), size)
+    m = CompressedMatrix.compress(dense, method=method, order=order)
+    assert measure(m).histogram == decoded_histogram(m)
+
+
+HISTOGRAM_CASES = {
+    "all-zero": lambda: np.zeros((3, 5), np.uint64),
+    "all-zero-blocks": lambda: np.zeros((100, 100), np.uint64),
+    "wide": lambda: sample_matrix(Uniform(58, 64), 100, 100, 3),  # VLB packs in two calls
+    "blocks": lambda: sample_matrix(Uniform(1, 40), 200, 200, 4),  # 2 VLB blocks, 5 SM blocks
+    **{f"width-{w}": (lambda w=w: sample_matrix(Uniform(1, w), 100, 100, w)) for w in (8, 16, 32, 64)},
+}
+
+
+@pytest.mark.parametrize("method", ["sm", "vlb"])
+@pytest.mark.parametrize("case", sorted(HISTOGRAM_CASES))
+def test_measure_histogram_edge_cases(method, case):
+    dense = HISTOGRAM_CASES[case]()
+    m = CompressedMatrix.compress(dense, method=method)
+    if method == "sm" and case.startswith("width-"):
+        assert m.inner.width == int(case[6:])  # a view of the words, not the table path
+    if method == "vlb" and case == "wide":
+        assert bit_length(int(dense.max())) + m.inner.k > 64  # not one field per element
+    histogram = measure(m).histogram
+    assert histogram == decoded_histogram(m)
+    assert sum(histogram.values()) == dense.size
+
+
+def test_measure_rejects_a_vlb_directory_that_disagrees_with_its_stream():
+    values = sample_matrix(Uniform(1, 40), 1, 3 * 64, 3)  # three lanes of 64
+    m = VlbMatrix.compress(values)
+    starts = element_starts(values.ravel().tolist(), m.k)
+    # lane 1 and each of its sub-lanes start one element late: every prefix
+    # read is well formed, but lane 0 no longer ends where lane 1 starts
+    cps = m.checkpoints.copy()
+    cps[1] = starts[65]
+    offsets = m.offsets.copy()
+    offsets[8:16] = [starts[65 + f] - starts[65] for f in range(0, 64, 8)]
+    late = VlbMatrix(m.rows, m.cols, m.k, m.order, m.data, cps, offsets)
+    with pytest.raises(CorruptStream, match="checkpoint lane"):
+        measure(late)
+    zero = VlbMatrix(m.rows, m.cols, m.k, m.order, m.data.copy(), m.checkpoints, m.offsets)
+    zero.data.write_field(starts[100], m.k, 0)
+    with pytest.raises(CorruptStream, match="zero length prefix"):
+        measure(zero)

@@ -28,13 +28,14 @@ from ccmatrix import vlb
 from ccmatrix.errors import CorruptStream, FieldOverflow
 from ccmatrix.genmat import Uniform, sample_matrix
 from ccmatrix.sm import SmMatrix
-from ccmatrix.vlb import _BLOCK, VlbMatrix, _directory, _walk
+from ccmatrix.vlb import _BLOCK, VlbMatrix, _directory, _hop_table, _walk
 
 from conftest import (
     SIZES,
     count_calls,
     element_starts,
     encode_reference,
+    reference_hop_table,
     reference_walk,
     scalar_decode,
     shape_of,
@@ -581,6 +582,18 @@ def test_walk_matches_reference_walk_on_random_edits(size, data, flips, cut):
         buf.bit_len -= (cut >> 1) % (buf.bit_len + 1)
     want = walked_or_rejected(reference_walk, buf, n, m.k)
     assert walked_or_rejected(_walk, buf, n, m.k) == want
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_hop_table_by_lookup_matches_the_shift_construction(k):
+    words = np.append(np.random.default_rng(k).integers(0, 2**64, 40, dtype=np.uint64), np.uint64(0))
+    words[7] = 2**64 - 1  # a run of set bits: every field reads 2**k - 1
+    # bases inside words, off the 64-bit grid, in the pad word and past it
+    for base in (0, 8, 56, 72, 64 * 7 + 40, 64 * 39 + 16, 64 * 40 + 8, 64 * 45):
+        # sizes whose windows stop inside a byte, a word, or run past the last word
+        for size in (1, 7, 8, 9, 65, 300, 64 * 46 - base):
+            got = _hop_table(words, base, size, k)
+            assert got == reference_hop_table(words, base, size, k), (base, size)
 
 
 @pytest.mark.parametrize("stride, offset_dtype", [(64, np.uint16)])
