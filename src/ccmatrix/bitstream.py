@@ -119,7 +119,7 @@ def _block(pos, width, table, e0: int, k: int):
     return (pos.start + e0 * width) >> 6, w[:k], off[:k], back[:k]
 
 
-def pack_fields(words: np.ndarray, pos, width, values: np.ndarray) -> None:
+def pack_fields(words: np.ndarray, pos, width, values: np.ndarray, top: int | None = None) -> None:
     """Place fields ``values`` of ``width`` bits into ``words`` at bit positions ``pos``.
 
     ``words`` is a uint64 array whose target fields are zero, with one
@@ -127,7 +127,8 @@ def pack_fields(words: np.ndarray, pos, width, values: np.ndarray) -> None:
     matching ``values``; fields must not overlap.  Raises FieldOverflow,
     before any word is written, if a value does not fit its width, and
     IndexError if a field starts past the last stream word (or, for a
-    run, ends past it).
+    run, ends past it).  A caller that has read the largest value passes
+    it as ``top``, so the scalar-width test does not read ``values`` again.
 
     Each block (:func:`_block`) is scattered with ``np.add.at``, which
     equals an OR here only because the targets are zero and the fields
@@ -140,7 +141,7 @@ def pack_fields(words: np.ndarray, pos, width, values: np.ndarray) -> None:
         blocks = range(0, values.size, _BLOCK)
         bad = any((values[e : e + _BLOCK] > _MASKS[width[e : e + _BLOCK]]).any() for e in blocks)
     else:
-        bad = values.size and values.max() > _MASKS[width]
+        bad = values.size and (values.max() if top is None else top) > _MASKS[width]
     if bad:
         raise FieldOverflow("a value does not fit its field width")
     view, table = _run(words, pos, width)

@@ -17,7 +17,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import experiments
-from ._dense import ROW_MAJOR, dense_to_flat
+from ._dense import COL_MAJOR, ROW_MAJOR, dense_to_flat, flat_to_dense
 from .bitstream import U64_MAX
 from .cmatrix import CompressedMatrix
 from .container import load_matrix, save_matrix
@@ -120,9 +120,11 @@ def _parse_fields(text: str) -> np.ndarray:
     return flat.reshape(len(widths), widths[0])
 
 
+@cache
 def _digit_table() -> np.ndarray:
     """The 4 ASCII bytes of each group 0..9999 as one uint32: zero-padded, then with
-    NULs for leading zeros, then NUL NUL NUL ``0`` for the last group of a zero value."""
+    NULs for leading zeros, then NUL NUL NUL ``0`` for the last group of a zero value.
+    Built on first use, so a command that writes no text builds none."""
     d = np.arange(10_000, dtype=np.uint16)[:, None]
     scale = np.array([1000, 100, 10, 1], np.uint16)
     padded = (d // scale % 10 + ord("0")).astype(np.uint8)
@@ -130,7 +132,6 @@ def _digit_table() -> np.ndarray:
     return np.concatenate([padded, padded * (d >= scale), zero]).view(np.uint32).ravel()
 
 
-_DIGITS = _digit_table()
 _GROUP = np.uint64(10_000)  # one table lookup per 4 decimal digits
 _SPACE, _NEWLINE = np.frombuffer(b" \0\0\0\n\0\0\0", np.uint32)
 _TEXT_BLOCK = 8192  # values per block of text: its buffers stay small
@@ -142,14 +143,22 @@ def format_text_matrix(dense) -> str:
 
     The values are written ``_TEXT_BLOCK`` at a time into a reused buffer:
     per value, one uint32 cell per 4-digit group that the widest value
-    needs, each one lookup in ``_DIGITS``, and one for the separator.
-    ``bytes.translate`` strips the NULs of leading zeros."""
-    _, cols, flat = dense_to_flat(dense, ROW_MAJOR)
+    needs, each one lookup in :func:`_digit_table`, and one for the separator.
+    ``bytes.translate`` strips the NULs of leading zeros.  A column-order
+    array is read in place, its row-order blocks copied one at a time by
+    ``np.nditer``'s buffer."""
+    order = COL_MAJOR if isinstance(dense, np.ndarray) and np.isfortran(dense) else ROW_MAJOR
+    rows, cols, flat = dense_to_flat(dense, order)  # a view of a column-order array
     groups = -(-len(str(int(flat.max()))) // 4)
     buf = np.empty((groups + 1, min(flat.size, _TEXT_BLOCK)), np.uint32)
+    digits = _digit_table()
+    blocks = np.nditer(
+        flat_to_dense(flat, rows, cols, order), ("buffered", "external_loop"), order="C",
+        buffersize=_TEXT_BLOCK,
+    )
     parts = []
-    for e0 in range(0, flat.size, _TEXT_BLOCK):
-        v = flat[e0 : e0 + _TEXT_BLOCK]
+    e0 = 0
+    for v in blocks:
         cells = buf[:, : v.size]
         q = v
         for c in range(groups - 1, -1, -1):  # the last group first
@@ -158,12 +167,13 @@ def format_text_matrix(dense) -> str:
             g += (high == 0) * _GROUP  # a leading group: NULs for its leading zeros
             if c == groups - 1:
                 g += (v == 0) * _GROUP  # a zero value writes ``0``
-            _DIGITS.take(g, out=cells[c], mode="clip")
+            digits.take(g, out=cells[c], mode="clip")
             q = high
         cells[groups] = _SPACE
         cells[groups, (cols - 1 - e0) % cols :: cols] = _NEWLINE
         parts.append(cells.T.tobytes().translate(None, b"\0").decode("ascii"))
-    del buf, cells, q, g, high  # freed before the join
+        e0 += v.size
+    del buf, cells, q, g, high, blocks, v  # freed before the join
     return "".join(parts)
 
 

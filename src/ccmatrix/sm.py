@@ -49,10 +49,10 @@ class SmMatrix(PackedMatrix):
 
     @classmethod
     def compress(cls, dense, order: str = ROW_MAJOR) -> "SmMatrix":
-        """Pack a dense non-negative integer matrix at the minimal width."""
+        """Pack a dense non-negative integer matrix at the minimal width, reading its maximum once."""
         rows, cols, flat = dense_to_flat(dense, order)
-        width = bit_length(int(flat.max()))
-        return cls._fill(rows, cols, width, order, flat)
+        top = int(flat.max())
+        return cls._fill(rows, cols, bit_length(top), order, flat, top)
 
     @classmethod
     def from_values(
@@ -66,14 +66,14 @@ class SmMatrix(PackedMatrix):
         return cls._fill(rows, cols, width, order, flat)
 
     @classmethod
-    def _fill(cls, rows, cols, width, order, flat: np.ndarray) -> "SmMatrix":
+    def _fill(cls, rows, cols, width, order, flat: np.ndarray, top=None) -> "SmMatrix":
         if not 1 <= width <= WORD_BITS:
             raise ValueError(f"width must be in 1..64, got {width}")
         n = rows * cols
         if flat.size != n:
             raise ValueError(f"expected {n} values, got {flat.size}")
         data = BitBuffer(n * width)
-        pack_fields(data.words, range(0, n * width, width), width, flat)
+        pack_fields(data.words, range(0, n * width, width), width, flat, top)
         return cls(rows, cols, width, order, data)
 
     def get(self, i: int, j: int) -> int:

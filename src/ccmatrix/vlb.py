@@ -32,26 +32,30 @@ sub-lane.  ``from_buffer`` finds every sub-lane start with ``_walk``,
 which hops the whole stream through a table indexed by bit position, as
 table-driven decoders of prefix codes do (Moffat & Turpin, "On the
 Implementation of Minimum Redundancy Prefix Codes", 1997): the table is
-built a block at a time by one gather from ``_HOPS[k]``, so each hop is
-one byte lookup.  A table costs
+built a block at a time by one gather from ``_hop_bytes(k)``, so each hop
+is one byte lookup, eight of them straight-line per sub-lane.  A table costs
 more to build than the hops of one ``get`` save, so ``get`` keeps
 ``_hop``; ``_walk`` also falls back on ``_hop``, one sub-lane int at a
 time, for a lane that runs past the stream, to raise its error.
 
-The lane decoder, a generator of checked blocks, is also the one stream
-validator.  ``from_buffer`` walks prefixes to find the sub-lane starts,
-rejects words or set bits past the stream's end, builds the directory
-from those starts as ``compress`` builds it from the element starts, and
-drains the decoder through one reused block; the decoder rejects every
-stream that is not the canonical encoding of its elements, or whose
-sub-lanes do not meet where the directory says.  ``bit_length_counts``
-runs its prefix hops alone: each prefix is its element's bit-length.
+The block prefix hops of ``_starts`` serve the load, ``values`` and
+``bit_length_counts`` alike.  ``from_buffer`` walks prefixes to find the
+sub-lane starts, rejects words or set bits past the stream's end, builds
+the directory from those starts as ``compress`` builds it from the
+element starts, then hops the blocks and reads one bit per payload: a
+payload of ``b`` bits is canonical exactly when ``b == 1`` or its top
+bit is set.  With ``k`` checked against the largest prefix, the load
+rejects every stream that is not the canonical encoding of its elements,
+or whose sub-lanes do not meet where the directory says.  ``values``
+extracts every payload and checks it again; ``bit_length_counts`` runs
+the prefix hops alone: each prefix is its element's bit-length.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import deque
+from functools import cache
 
 import numpy as np
 
@@ -100,8 +104,12 @@ def _hop(x: int, count: int, k: int, limit: int) -> int:
     return p
 
 
+@cache
 def _hop_bytes(k: int) -> np.ndarray:
-    """Byte ``r`` of entry ``x``: ``k`` + the ``k``-bit field at bit ``r`` of ``x``, for ``r < 8``."""
+    """Byte ``r`` of entry ``x``: ``k`` + the ``k``-bit field at bit ``r`` of ``x``, for ``r < 8``.
+
+    One entry per ``k+7``-bit window, 254 KiB for all ``k``; built on first
+    use, so a process that walks no stream builds none."""
     x = np.arange(1 << (k + 7), dtype=np.uint16)
     hops = np.empty((x.size, 8), np.uint8)
     for r in range(8):
@@ -110,15 +118,12 @@ def _hop_bytes(k: int) -> np.ndarray:
     return hops.view("<u8").ravel()
 
 
-_HOPS = (None, *map(_hop_bytes, range(1, 8)))  # by k, of every k+7-bit window: 254 KiB in all
-
-
 def _hop_table(words: np.ndarray, base: int, size: int, k: int) -> bytearray:
     """``P[q]`` = ``k`` + the ``k``-bit field at bit ``base + q``, for ``q < size``.
 
     That is the number of bits from an element starting at ``base + q`` to
     the next.  ``base`` is a multiple of 8.  The 8 bytes of ``P`` for the
-    bits of one stream byte are one entry of ``_HOPS[k]``, looked up by the
+    bits of one stream byte are one entry of ``_hop_bytes(k)``, looked up by the
     16-bit window starting at that byte, masked to ``k + 7 <= 14`` bits;
     bits past ``words`` read as 0.
     """
@@ -131,7 +136,7 @@ def _hop_table(words: np.ndarray, base: int, size: int, k: int) -> bytearray:
     win[:-1] |= win[1:] << 8
     win &= (1 << (k + 7)) - 1
     table = bytearray(8 * nb)
-    _HOPS[k].take(win[:-1], out=np.frombuffer(table, dtype="<u8"), mode="clip")  # unbuffered
+    _hop_bytes(k).take(win[:-1], out=np.frombuffer(table, dtype="<u8"), mode="clip")  # unbuffered
     return table
 
 
@@ -143,8 +148,10 @@ def _walk(buf: BitBuffer, n: int, k: int) -> tuple[array, int]:
     ends.  Each lane runs ``q += P[q]`` per element through a
     :func:`_hop_table` ``P`` that covers ``_BLOCK`` bits of lane starts
     plus the most bits one lane can hop (64 * (7 + 127) = 8,576 at most),
-    one lookup in ``_HOPS[k]`` per stream byte.
-    It is rebuilt at the first lane that starts past that span, so no hop
+    one lookup in ``_hop_bytes(k)`` per stream byte.  A whole sub-lane is
+    eight straight-line hops, which beats a loop over them; the short last
+    lane loops.
+    ``P`` is rebuilt at the first lane that starts past that span, so no hop
     indexes past it or needs a test.  A lane that ends past
     ``buf.bit_len`` may have read past the stream, so ``_hop`` walks it and
     every later lane again, one sub-lane at a time, and raises
@@ -154,10 +161,7 @@ def _walk(buf: BitBuffer, n: int, k: int) -> tuple[array, int]:
     limit = buf.bit_len
     reach = min(_STRIDE, n) * (k + (1 << k) - 1)  # the most bits one lane can hop
     hops = (None,) * _SUBLANE  # one prebuilt tuple: a fresh ``repeat`` per sub-lane is slower
-    # the hops of each sub-lane of a whole lane and of a short last one
-    full, short = (
-        [hops[: m - f] for f in range(0, m, _SUBLANE)] for m in (min(_STRIDE, n), n % _STRIDE)
-    )
+    short = [hops[: n % _STRIDE - f] for f in range(0, n % _STRIDE, _SUBLANE)]  # the last lane's
     starts = array("q")
     append = starts.append
     pos = base = span = first = 0
@@ -168,10 +172,22 @@ def _walk(buf: BitBuffer, n: int, k: int) -> tuple[array, int]:
             base, q = pos & ~7, pos & 7
             span = min(_BLOCK, limit + 1 - base)  # no valid lane starts past bit ``limit``
             table = _hop_table(buf.words, base, span + reach, k)
-        for sub_hops in full if n - first >= _STRIDE else short:
-            append(base + q)
-            for _ in sub_hops:
+        if n - first >= _STRIDE:
+            for _ in range(_PER):
+                append(base + q)
                 q += table[q]
+                q += table[q]
+                q += table[q]
+                q += table[q]
+                q += table[q]
+                q += table[q]
+                q += table[q]
+                q += table[q]
+        else:
+            for sub_hops in short:
+                append(base + q)
+                for _ in sub_hops:
+                    q += table[q]
         if base + q > limit:
             break  # the lane read past the stream: ``_hop`` walks it again below, and raises
         pos = base + q
@@ -199,10 +215,11 @@ def _directory(heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return checkpoints, offsets
 
 
-def _corrupt(pos: np.ndarray, b: np.ndarray, k: int, limit: int, v=None) -> CorruptStream:
-    """CorruptStream for the first bad element; ``v`` holds the payloads, once read."""
-    top = (b - 1).view(np.uint64)
-    bad = (pos + k + b > limit) | (top >= WORD_BITS) if v is None else (v | 1) >> top == 0
+def _corrupt(pos: np.ndarray, b: np.ndarray, k: int, limit: int, bad=None) -> CorruptStream:
+    """CorruptStream for the first element set in ``bad``: the payloads that are not
+    canonical, or by default the prefixes or payloads out of range."""
+    if bad is None:
+        bad = (pos + k + b > limit) | ((b - 1).view(np.uint64) >= WORD_BITS)
     i = int(bad.argmax())
     p, bi = int(pos[i]), int(b[i])
     if p > limit - k:
@@ -214,6 +231,12 @@ def _corrupt(pos: np.ndarray, b: np.ndarray, k: int, limit: int, v=None) -> Corr
     if p + k + bi > limit:
         return CorruptStream("payload runs past end of stream")
     return CorruptStream(f"prefix {bi} at bit {p} is not the bit-length of its payload")
+
+
+def _check_k(k: int, top: int) -> None:
+    """Raise CorruptStream unless ``k`` is the bit-length of ``top``, the largest prefix."""
+    if k != bit_length(top):
+        raise CorruptStream(f"prefix width {k} is not the bit-length of the largest prefix {top}")
 
 
 def _prefixes(block: np.ndarray, ends: np.ndarray, seams: bool, k: int, limit: int):
@@ -315,11 +338,15 @@ class VlbMatrix(PackedMatrix):
         ``buf`` past the stream's end.  ``buf.bit_len`` is then set to the
         exact end of the stream, :func:`_directory` turns the sub-lane
         starts into checkpoints and offsets, as ``compress`` does, and the
-        lane decoder, the one validator, decodes the stream through one
-        reused block of at most 256 KiB, once the walk's table and starts
-        are released.  It raises CorruptStream if the stream is not
-        decodable or not canonical, or if a sub-lane does not end where the
-        directory says the next one starts, so a loaded matrix is
+        block hops of :meth:`_starts` find every element's start and prefix
+        ``b`` through one reused block of at most 256 KiB, once the walk's
+        table and starts are released.  No payload is extracted: each is
+        canonical exactly when ``b == 1`` or its top bit, stream bit
+        ``start + k + b - 1``, is set, read from a byte view of the words.
+        It raises CorruptStream if the stream is not decodable or not
+        canonical, if ``k`` is not the bit-length of the largest prefix, or
+        if a sub-lane does not end where the directory says the next one
+        starts, with the messages of :meth:`values`, so a loaded matrix is
         bit-identical to compressing its own elements.  It keeps no
         element: a loaded matrix holds only its words and directory.
         """
@@ -331,7 +358,17 @@ class VlbMatrix(PackedMatrix):
         directory = _directory(np.frombuffer(heads, dtype=np.int64))
         del heads
         m = cls(rows, cols, k, order, buf, *directory)
-        deque(m._blocks(np.empty(min(rows * cols, _GROUP * _SUBLANE), np.uint64)), maxlen=0)
+        stream = buf.words.astype("<u8", copy=False).view(np.uint8)
+        top = 0
+        for _, _, prefixes in m._starts(np.empty(min(rows * cols, _GROUP * _SUBLANE), np.uint64)):
+            for _, starts, b in prefixes:
+                at = starts + (k - 1)
+                at += b  # the top bit of each payload
+                canonical = stream[at >> 3] >> (at & 7).astype(np.uint8) & 1 | (b == 1)
+                if not canonical.all():
+                    raise _corrupt(starts, b, k, pos, canonical == 0)
+                top = max(top, int(b.max()))
+        _check_k(k, top)
         return m
 
     def get(self, i: int, j: int) -> int:
@@ -443,16 +480,13 @@ class VlbMatrix(PackedMatrix):
             for a, pos, b in prefixes:
                 v = unpack_fields(words, pos + k, b)
                 # (v | 1) >> (b - 1) is 0 where a payload wider than 1 bit lacks its top bit
-                if ((v | 1) >> (b - 1).view(np.uint64)).min() == 0:
-                    raise _corrupt(pos, b, k, self.data.bit_len, v)
+                top_bits = (v | 1) >> (b - 1).view(np.uint64)
+                if top_bits.min() == 0:
+                    raise _corrupt(pos, b, k, self.data.bit_len, top_bits == 0)
                 block[a : a + _GROUP] = v
             top = max(top, int(block.max()))
             yield e0, block
-        top = bit_length(top)  # the largest prefix, as payloads are canonical
-        if k != bit_length(top):
-            raise CorruptStream(
-                f"prefix width {k} is not the bit-length of the largest prefix {top}"
-            )
+        _check_k(k, bit_length(top))  # the largest prefix, as payloads are canonical
 
     def decompress(self) -> np.ndarray:
         return flat_to_dense(self.values(), self.rows, self.cols, self.order)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ccmatrix.bitstream import U64_MAX, WORD_BITS, BitBuffer, bit_length
+from ccmatrix.bitstream import U64_MAX, WORD_BITS, BitBuffer, bit_length, unpack_fields
 from ccmatrix.errors import CorruptStream, ParseError
+from ccmatrix.vlb import VlbMatrix, _directory
 
 # Element counts around the VLB directory's lanes of 64 and sub-lanes of 8:
 # one short sub-lane (1, 3, 7), one whole sub-lane (8), a short last
@@ -119,6 +120,38 @@ def reference_walk(buf, n, k):
     if pos > limit:
         raise CorruptStream("payload runs past end of stream")
     return starts, pos
+
+
+def reference_validate(rows, cols, k, order, buf):
+    """Reference VLB load: ``VlbMatrix.from_buffer`` with the validating drain it
+    had before its one-bit check, walked by :func:`reference_walk`.
+
+    Every payload is extracted to test its top bit, and ``k`` is checked
+    against the bit-length of the largest value.  Returns the loaded
+    matrix, or raises CorruptStream with the loader's message.
+    """
+    n = rows * cols
+    heads, end = reference_walk(buf, n, k)
+    if buf.words.size != -(-end // WORD_BITS) + 1:
+        raise CorruptStream("payload longer than the encoded stream")
+    buf.bit_len = end
+    buf.check_padding()
+    m = VlbMatrix(rows, cols, k, order, buf, *_directory(np.array(heads, dtype=np.int64)))
+    top = 0
+    for _, _, prefixes in m._starts(np.empty(min(n, 4096 * 8), np.uint64)):
+        for _, pos, b in prefixes:
+            v = unpack_fields(buf.words, pos + k, b)
+            bad = (v | 1) >> (b - 1).view(np.uint64) == 0
+            if bad.any():
+                i = int(bad.argmax())
+                raise CorruptStream(
+                    f"prefix {int(b[i])} at bit {int(pos[i])} is not the bit-length of its payload"
+                )
+            top = max(top, int(v.max()))
+    top = bit_length(top)
+    if k != bit_length(top):
+        raise CorruptStream(f"prefix width {k} is not the bit-length of the largest prefix {top}")
+    return m
 
 
 def reference_hop_table(words, base, size, k):

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import os
 import struct
 import subprocess
@@ -520,6 +522,39 @@ def test_format_text_matrix_matches_the_percent_d_writer_across_blocks(shape):
     assert format_text_matrix(dense) == reference_format_text_matrix(dense)
 
 
+@pytest.mark.parametrize("shape", [(97, 211), (20000, 3), (3, 20000)])
+def test_format_text_matrix_reads_a_column_order_array_across_blocks(shape):
+    dense = np.asfortranarray(sample_matrix(Uniform(1, 64), *shape, 12))
+    dense[::5] = 0
+    assert np.isfortran(dense)
+    assert format_text_matrix(dense) == reference_format_text_matrix(dense)
+
+
+def test_column_order_text_costs_at_most_one_block_more_than_row_order():
+    dense = sample_matrix(Uniform(1, 40), 600, 400, 7)
+    text, row_peak = traced_peak(format_text_matrix, dense)
+    out, col_peak = traced_peak(format_text_matrix, np.asfortranarray(dense))
+    assert out == text
+    # a full row-order copy would be 1.83 MiB; one block of uint64 values is 64 KiB
+    assert col_peak <= row_peak + 8 * cli._TEXT_BLOCK
+
+
+def test_importing_the_cli_builds_no_lookup_table():
+    code = (
+        "from ccmatrix import cli, vlb\n"
+        "built = lambda: (cli._digit_table.cache_info().currsize, vlb._hop_bytes.cache_info().currsize)\n"
+        "print(*built())\n"
+        "cli.format_text_matrix([[1]])\n"
+        "vlb.VlbMatrix.from_buffer(1, 1, 1, 'row', vlb.VlbMatrix.compress([[1]]).data)\n"
+        "print(*built())\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=module_env(), capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == ["0 0", "1 1"]  # each built on first use, for one k
+
+
 def test_parse_memory_does_not_grow_at_scale():
     text = format_text_matrix(sample_matrix(Uniform(1, 64), 1000, 1000, 7))  # 11.2 MB
     out, peak = traced_peak(parse_text_matrix, text)
@@ -621,6 +656,60 @@ def test_cli_fuzz_roundtrips(tmp_path, capsys):
         assert main(["decompress", str(box), str(back)]) == 0
         assert parse_text_matrix(back.read_text()).tolist() == dense.tolist()
     capsys.readouterr()
+
+
+HEADER = struct.Struct("<4sBBBQQBQ")  # magic, version, method, order, rows, cols, param, words
+HEADER_FIELDS = ["version", "method", "order", "rows", "cols", "param", "words"]
+
+
+def alter_header(blob, field, value):
+    fields = list(HEADER.unpack_from(blob))
+    i = 1 + HEADER_FIELDS.index(field)
+    fields[i] = value % (2**64 if field in ("rows", "cols", "words") else 256)
+    return HEADER.pack(*fields) + blob[HEADER.size :]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    top=st.integers(1, 64),
+    method=st.sampled_from(["sm", "vlb"]),
+    order=st.sampled_from(["row", "col"]),
+    command=st.sampled_from(["info", "decompress"]),
+    header=st.none() | st.tuples(
+        st.sampled_from(HEADER_FIELDS), st.integers(0, 70) | st.integers(0, 2**64 - 1)
+    ),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["flip", "flip", "truncate", "set"]),
+            st.integers(8 * HEADER.size, 2**16),
+            st.integers(0, 255),
+        ),
+        max_size=3,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_cli_on_corrupt_containers_exits_cleanly(
+    tmp_path_factory, seed, shape, top, method, order, command, header, edits
+):
+    dense = sample_matrix(Uniform(1, top), *shape, seed)
+    blob = dump_bytes(CompressedMatrix.compress(dense, method, order))
+    if header is not None:
+        blob = alter_header(blob, *header)
+    blob = mutate(blob, edits)
+    box = tmp_path_factory.mktemp("fuzz") / "m.ccm"
+    box.write_bytes(blob)
+    argv = [command, str(box)] + ([str(box.with_suffix(".txt"))] if command == "decompress" else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+    else:  # one line naming the failure, and nothing else
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith("error: ")
 
 
 def test_cli_info_width_10(tmp_path, capsys):
@@ -762,10 +851,13 @@ def test_loaded_vlb_decodes_again_after_the_load_decode():
     assert (first == second).all() and (m.decompress() == dense).all()
 
 
-# (values() calls, lane decodes, prefix passes): the load decodes to validate;
-# info then reads only the prefixes, decompress decodes again
+# (values() calls, lane decodes, prefix passes, prefix walks): the load walks the
+# prefixes and checks one bit per payload; info then reads only the prefixes,
+# decompress decodes
 @pytest.mark.parametrize(
-    "command, counts", [("info", (0, 1, 1)), ("decompress", (1, 2, 0))], ids=["info", "decompress"]
+    "command, counts",
+    [("info", (0, 0, 1, 2)), ("decompress", (1, 1, 0, 2))],
+    ids=["info", "decompress"],
 )
 def test_cli_keeps_no_decoded_array_of_a_loaded_vlb_stream(
     tmp_path, monkeypatch, capsys, command, counts
@@ -782,9 +874,10 @@ def test_cli_keeps_no_decoded_array_of_a_loaded_vlb_stream(
     values = count_calls(monkeypatch, VlbMatrix, "values")
     decodes = count_calls(monkeypatch, VlbMatrix, "_blocks")
     passes = count_calls(monkeypatch, VlbMatrix, "bit_length_counts")
+    walks = count_calls(monkeypatch, VlbMatrix, "_starts")
     argv = [command, str(box)] + ([str(tmp_path / "m.txt")] if command == "decompress" else [])
     assert main(argv) == 0
-    assert (len(values), len(decodes), len(passes)) == counts
+    assert (len(values), len(decodes), len(passes), len(walks)) == counts
     inner = loaded[0].inner
     held = [getattr(inner, name) for name in inner.__slots__]
     # no decoded array outlives the command: the directory has one entry per 8 elements

@@ -36,6 +36,7 @@ from conftest import (
     element_starts,
     encode_reference,
     reference_hop_table,
+    reference_validate,
     reference_walk,
     scalar_decode,
     shape_of,
@@ -358,16 +359,18 @@ def test_lane_decoder_rejects_nonzero_offset_at_a_lane_start():
         scalar_decode(m)
 
 
-@pytest.mark.parametrize("loaded, decodes", [(False, 1), (True, 2)], ids=["compressed", "loaded"])
-def test_decoding_a_small_matrix_reads_fields_nine_times(monkeypatch, loaded, decodes):
+# a decode reads 8 prefix steps and extracts once; the load reads the 8 prefix
+# steps, then one bit per payload, and keeps nothing, so values() decodes again
+@pytest.mark.parametrize("loaded, reads", [(False, 9), (True, 8 + 9)], ids=["compressed", "loaded"])
+def test_decoding_a_small_matrix_reads_fields_nine_times(monkeypatch, loaded, reads):
     dense = sample_matrix(Uniform(1, 64), 20, 20, 5)
     m = VlbMatrix.compress(dense)  # 50 sub-lanes of 8 elements, one block
     raw = BitBuffer.from_bytes(m.data.to_bytes(), 64 * m.data.word_count)
-    reads = count_calls(monkeypatch, vlb, "unpack_fields")
-    if loaded:  # the load decodes to validate and keeps nothing, so values() decodes again
+    calls = count_calls(monkeypatch, vlb, "unpack_fields")
+    if loaded:
         m = VlbMatrix.from_buffer(20, 20, m.k, "row", raw)
     assert m.values().tolist() == dense.ravel().tolist()
-    assert len(reads) == 9 * decodes  # 8 prefix steps and 1 extract per decode
+    assert len(calls) == reads
 
 
 def decoded_or_rejected(decode):
@@ -582,6 +585,113 @@ def test_walk_matches_reference_walk_on_random_edits(size, data, flips, cut):
         buf.bit_len -= (cut >> 1) % (buf.bit_len + 1)
     want = walked_or_rejected(reference_walk, buf, n, m.k)
     assert walked_or_rejected(_walk, buf, n, m.k) == want
+
+
+# whole lanes only, a short last lane of whole sub-lanes, and one that ends mid-sub-lane
+@pytest.mark.parametrize("n", [5 * 64, 5 * 64 + 3 * 8, 5 * 64 + 3 * 8 + 5])
+# where bit_len cuts the stream: nowhere, inside lane 2 (whole, hopped straight-line),
+# and inside the last element
+@pytest.mark.parametrize("cut", ["none", "whole-lane", "last-element"])
+def test_unrolled_walk_matches_reference_walk_where_the_stream_ends(monkeypatch, n, cut):
+    values = sample_matrix(Uniform(1, 20), 1, n, 13).ravel().tolist()
+    m = VlbMatrix.compress([values])
+    starts = element_starts(values, m.k)
+    buf = BitBuffer.from_bytes(m.data.to_bytes(), m.bits_used)
+    if cut == "whole-lane":
+        buf.bit_len = starts[2 * 64 + 5 * 8 + 4] + 1  # past the lane's sub-lane 5
+    elif cut == "last-element":
+        buf.bit_len -= 1
+    fallback = count_calls(monkeypatch, vlb, "_hop")
+    got = walked_or_rejected(_walk, buf, n, m.k)
+    assert got == walked_or_rejected(reference_walk, buf, n, m.k)
+    if cut == "none":
+        assert got == (starts[::8], m.bits_used) and not fallback
+    else:  # a lane that ran past the stream is walked again, one sub-lane at a time
+        assert isinstance(got, str) and fallback
+
+
+def loaded_or_rejected(load, rows, cols, k, order, buf):
+    try:
+        m = load(rows, cols, k, order, buf.copy())
+    except CorruptStream as exc:
+        return str(exc)
+    return m.data, m.checkpoints.tolist(), m.offsets.tolist()
+
+
+def flip(buf, i):
+    buf.words[i >> 6] ^= np.uint64(1 << (i & 63))
+
+
+@pytest.mark.parametrize("order", ["row", "col"])
+@pytest.mark.parametrize("size", SIZES)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["random", "zeros-and-ones", "uniform-58-64"]),
+    seed=st.integers(0, 2**32 - 1),
+    wider_k=st.booleans(),
+    edit=st.sampled_from(["none", "prefix", "top-bit", "any-bit", "drop-words", "cut"]),
+)
+@settings(max_examples=30)
+def test_load_check_matches_reference_validate(size, order, data, kind, seed, wider_k, edit):
+    rows, cols = shape_of(size)
+    rnd = np.random.default_rng(seed)
+    if kind == "uniform-58-64":
+        dense = sample_matrix(Uniform(58, 64), rows, cols, seed)
+    elif kind == "zeros-and-ones":  # payloads of one bit, with a few wider ones
+        dense = rnd.integers(0, 2, (rows, cols), dtype=np.uint64) << rnd.choice(
+            np.array([0, 0, 0, 5], np.uint64), (rows, cols)
+        )
+    else:
+        dense = rnd.integers(0, 2**64, (rows, cols), dtype=np.uint64) >> rnd.integers(
+            0, 64, (rows, cols), dtype=np.uint64
+        )
+    m = VlbMatrix.compress(dense, order)
+    clean, k = m.values().tolist(), m.k
+    stream = m.data
+    if wider_k and k < 7:  # a canonical stream under a k one wider than minimal
+        k += 1
+        stream = encode_reference(clean, k)
+    blob = stream.to_bytes()
+    buf = BitBuffer.from_bytes(blob, 8 * len(blob))
+    starts = element_starts(clean, k)
+    e = data.draw(st.integers(0, size - 1))
+    if edit == "prefix":
+        flip(buf, starts[e] + data.draw(st.integers(0, k - 1)))
+    elif edit == "top-bit":  # a payload of more than one bit then reads as not canonical
+        flip(buf, starts[e] + k + bit_length(clean[e]) - 1)
+    elif edit == "any-bit":
+        flip(buf, data.draw(st.integers(0, buf.bit_len - 1)))
+    elif edit == "drop-words":
+        drop = 8 * data.draw(st.integers(1, len(blob) // 8))
+        buf = BitBuffer.from_bytes(blob[:-drop], 8 * (len(blob) - drop))
+    elif edit == "cut":
+        buf.bit_len = data.draw(st.integers(0, buf.bit_len - 1))
+    want = loaded_or_rejected(reference_validate, rows, cols, k, order, buf)
+    assert loaded_or_rejected(VlbMatrix.from_buffer, rows, cols, k, order, buf) == want
+    if edit == "none" and stream is m.data:
+        assert want == (stream, m.checkpoints.tolist(), m.offsets.tolist())
+    elif edit == "none":  # canonical payloads under a k one wider than minimal
+        assert want.startswith(f"prefix width {k} is not the bit-length")
+
+
+def test_load_reads_the_top_bit_of_every_payload_wider_than_one_bit():
+    values = [0, 1, 5, 0, 2**40, 3, 1, 0, 9] * 10
+    m = VlbMatrix.compress([values])
+    k, starts = m.k, element_starts(values, m.k)
+    assert VlbMatrix.from_buffer(1, 90, k, "row", m.data.copy()) == m
+    for e, v in enumerate(values):
+        b = bit_length(v)
+        buf = m.data.copy()
+        flip(buf, starts[e] + k + b - 1)
+        if b == 1:  # 0 and 1 both have bit-length 1
+            again = VlbMatrix.from_buffer(1, 90, k, "row", buf)
+            assert again.get(0, e) == 1 - v
+        else:
+            with pytest.raises(CorruptStream) as info:
+                VlbMatrix.from_buffer(1, 90, k, "row", buf)
+            assert str(info.value) == (
+                f"prefix {b} at bit {starts[e]} is not the bit-length of its payload"
+            )
 
 
 @pytest.mark.parametrize("k", range(1, 8))

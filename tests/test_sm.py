@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 
 from ccmatrix import CompressedMatrix
 from ccmatrix._dense import unravel_index
-from ccmatrix.bitstream import bit_length
-from ccmatrix.errors import NarrowingRequested, OutOfBounds, WidthOverflow
+from ccmatrix.bitstream import bit_length, pack_fields
+from ccmatrix.errors import FieldOverflow, NarrowingRequested, OutOfBounds, WidthOverflow
 from ccmatrix.sm import SmMatrix
 
 from conftest import WORKED_ROW
@@ -228,3 +230,46 @@ def test_roundtrip_property(r, c, top, rnd):
     m = SmMatrix.compress(dense)
     assert m.decompress().tolist() == dense
     assert m.width == bit_length(max(max(row) for row in dense))
+
+
+def full_reads_of_max(call, n):
+    """How many times ``call()`` takes ``max`` of an ndarray of ``n`` or more elements.
+
+    ``ndarray.max`` is a C method, so a profile hook sees each call as a
+    ``c_call`` event with the bound method and its array."""
+    reads = []
+
+    def hook(frame, event, arg):
+        owner = getattr(arg, "__self__", None)
+        if event == "c_call" and arg.__name__ == "max" and isinstance(owner, np.ndarray):
+            reads.append(owner.size >= n)
+
+    sys.setprofile(hook)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return sum(reads)
+
+
+def test_compress_reads_its_maximum_once():
+    dense = np.random.default_rng(11).integers(0, 2**40, (300, 200), dtype=np.uint64)
+    assert full_reads_of_max(lambda: SmMatrix.compress(dense), dense.size) == 1
+    flat = dense.ravel()
+    # from_values and widen take no maximum of their own, so pack_fields reads it to check
+    assert full_reads_of_max(lambda: SmMatrix.from_values(300, 200, 40, flat), dense.size) == 1
+    m = SmMatrix.compress(dense)
+    assert full_reads_of_max(lambda: m.widen(41), dense.size) == 1
+
+
+def test_from_values_widen_and_pack_fields_still_check_overflow():
+    flat = np.array([1, 2, 2**40], dtype=np.uint64)
+    with pytest.raises(FieldOverflow):
+        SmMatrix.from_values(1, 3, 40, flat)
+    with pytest.raises(FieldOverflow):
+        pack_fields(np.zeros(3, np.uint64), range(0, 120, 40), 40, flat)
+    m = SmMatrix.from_values(1, 3, 41, flat)
+    assert m.widen(64).values().tolist() == flat.tolist()
+    # a maximum passed in is the one tested
+    with pytest.raises(FieldOverflow):
+        pack_fields(np.zeros(3, np.uint64), range(0, 120, 40), 40, flat[:2], top=2**40)
