@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import re
 import sys
 import warnings
 from functools import cache
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -34,25 +35,84 @@ from .genmat import (
 
 
 _PLAIN = b"0123456789 \t,\n\r"
-_CHUNK = 1 << 20
+_CHUNK = 1 << 16  # characters per chunk of the scan and the read pass
+_NON_DIGIT = re.compile("[^0-9]")
 
 
 def _is_plain(text: str) -> bool:
-    """Whether ``text`` holds a digit and no character outside ``_PLAIN``,
-    and no field that ``int()`` would refuse for its digit count.
+    """Whether ``text`` is ASCII and holds no field that ``int()`` would
+    refuse for its digit count; :func:`_plain_shape` checks the alphabet.
 
     A field below 2**64 has at most 20 significant digits, so it passes
     ``sys.get_int_max_str_digits()`` (0: no limit) unless it starts with
-    ``limit - 19`` zeros.  The alphabet is checked a chunk at a time, so
-    no second copy of the whole text exists."""
+    ``limit - 19`` zeros."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    return (
-        text.isascii()
-        and any(d in text for d in "0123456789")
-        and not (limit and "0" * (limit - 19) in text)
-        and not any(text[i : i + _CHUNK].encode().translate(None, _PLAIN)
-                    for i in range(0, len(text), _CHUNK))
-    )
+    return text.isascii() and not (limit and "0" * (limit - 19) in text)
+
+
+def _plain_shape(text: str) -> tuple[int, int] | None:
+    """The rows and width of ASCII ``text`` if it holds only ``_PLAIN``
+    bytes, a row, and the same number of fields on each non-blank line.
+
+    One pass of ``_CHUNK`` bytes at a time: ``bytes.translate`` checks the
+    alphabet, a field starts at a digit after a non-digit, and one
+    ``np.add.reduceat`` over the start marks counts the fields of each
+    ``\\n``- or ``\\r``-ended line.  The fields of the line still open and
+    whether the last byte was a digit carry into the next chunk."""
+    rows = width = line = 0
+    prev = False
+    for i in range(0, len(text), _CHUNK):
+        raw = text[i : i + _CHUNK].encode("ascii")
+        if raw.translate(None, _PLAIN):
+            return None
+        b = np.frombuffer(raw, np.uint8)
+        digit = np.empty(b.size + 2, bool)  # the previous byte, this chunk, and a non-digit
+        digit[0], digit[-1] = prev, False
+        np.greater_equal(b, ord("0"), out=digit[1:-1])  # only digits sort after "0"
+        prev = digit[-2]
+        ends = np.flatnonzero(b - np.uint8(10) <= 3)  # "\n" or "\r": tab wraps to 255
+        starts = np.concatenate(([0], ends + 1))  # of the lines, the last one open
+        fields = np.add.reduceat(digit[1:] > digit[:-1], starts, dtype=np.intp)
+        fields[0] += line
+        line = fields[-1]
+        closed = fields[:-1][fields[:-1] > 0]
+        if closed.size:
+            width = width or closed[0]
+            if (closed != width).any():
+                return None
+            rows += closed.size
+    if line:  # the last line, which no line end closes
+        if width and line != width:
+            return None
+        width, rows = line, rows + 1
+    return (rows, int(width)) if rows else None
+
+
+def _read_plain(text: str, flat: np.ndarray) -> bool:
+    """Fill ``flat`` with the fields of plain ``text``: whether they were
+    exactly ``flat.size`` values and none could have been clipped.
+
+    ``np.fromstring`` reads ``_CHUNK`` characters at a time, each chunk cut
+    at the next non-digit and its commas replaced on their own.  It clips any
+    value of 2**64 or more to 2**64 - 1, so that value sends the text to
+    :func:`_parse_fields`, which tells the two apart."""
+    pos = end = 0
+    try:
+        with warnings.catch_warnings():
+            # numpy releases that fail to read a field may only warn
+            warnings.simplefilter("error", DeprecationWarning)
+            while pos < len(text):
+                cut = _NON_DIGIT.search(text, pos + _CHUNK)
+                cut = cut.start() if cut else len(text)
+                chunk = text[pos:cut].replace(",", " ")
+                pos = cut
+                if not chunk.isspace():  # fromstring reads a 0 from separators only
+                    vals = np.fromstring(chunk, np.uint64, sep=" ")
+                    flat[end : end + vals.size] = vals  # more values than room: ValueError
+                    end += vals.size
+    except (ValueError, DeprecationWarning):
+        return False
+    return end == flat.size and flat.max() < U64_MAX
 
 
 def parse_text_matrix(text: str) -> np.ndarray:
@@ -63,27 +123,19 @@ def parse_text_matrix(text: str) -> np.ndarray:
     non-ASCII digits) in 0..2**64 - 1; else, or for ragged or no rows,
     ParseError.
 
-    Plain text (see ``_is_plain``) goes through numpy's C tokenizer,
-    ``np.loadtxt``.  Any other text, and plain text that loadtxt rejects
-    (a value of 2**64 or more, ragged rows), goes through ``int()`` in
+    Plain text (see ``_is_plain``) takes two chunked numpy passes: a scan
+    that finds each line's width (:func:`_plain_shape`), and a read into
+    one preallocated array by ``np.fromstring`` (:func:`_read_plain`).  Any
+    other text, and plain text either pass turns down (ragged rows, no rows,
+    a value of 2**64 - 1 or more), goes through ``int()`` in
     :func:`_parse_fields`, which words every error.  Both accept the same
     texts with the same values, also under a changed ``int()`` digit
-    limit and on numpy releases that only warn on an integer overflow."""
-    if _is_plain(text):
-        lines = text.splitlines()
-        lines.reverse()
-        # pop each line as loadtxt reads it, so the lines free as the output fills
-        rows = map(list.pop, repeat(lines, len(lines)))
-        if "," in text:
-            rows = (line.replace(",", " ") for line in rows)  # only lines with a comma are copied
-        try:
-            with warnings.catch_warnings():
-                # numpy releases from 1.23 on read an integer field that fails
-                # to parse (one of 2**64 or more) as a float and only warn
-                warnings.simplefilter("error", DeprecationWarning)
-                return np.loadtxt(rows, dtype=np.uint64, comments=None, ndmin=2)
-        except (ValueError, DeprecationWarning):
-            pass  # _parse_fields words the error
+    limit and on numpy releases that only warn where a field fails."""
+    shape = _is_plain(text) and _plain_shape(text)
+    if shape:
+        out = np.empty(shape, np.uint64)
+        if _read_plain(text, out.reshape(-1)):
+            return out
     return _parse_fields(text)
 
 
@@ -204,7 +256,7 @@ def _print_report(m: CompressedMatrix, show_histogram: bool = False) -> None:
 
 
 def cmd_compress(args) -> int:
-    with open(args.input) as f:
+    with open(args.input, encoding="utf-8") as f:  # under any locale, so non-ASCII digits read alike
         dense = parse_text_matrix(f.read())
     m = CompressedMatrix.compress(dense, method=args.method, order=args.order)
     save_matrix(m, args.output)

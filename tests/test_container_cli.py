@@ -353,7 +353,7 @@ def test_parse_matches_reference_parser_on_edge_cases(text):
 
 
 # Plain text: ASCII digits, spaces, tabs, commas and \n / \r line ends,
-# the input that parse_text_matrix hands to np.loadtxt.
+# the input that parse_text_matrix reads with np.fromstring.
 plain_fields = st.one_of(
     st.integers(0, 2**64 - 1).map(str),
     st.tuples(st.integers(1, 3), st.integers(0, 10**6)).map(lambda z: "0" * z[0] + str(z[1])),
@@ -390,7 +390,7 @@ def plain_texts(draw):
 def test_plain_text_parse_matches_reference_parser(text):
     want = parsed_or_rejected(reference_parse_text_matrix, text)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # np.loadtxt warns where it finds no rows
+        warnings.simplefilter("error")  # the parse warns nowhere, also where it finds no rows
         assert parsed_or_rejected(parse_text_matrix, text) == want
 
 
@@ -403,27 +403,100 @@ def test_store_shaped_text_never_reaches_the_int_path(monkeypatch, sep, end):
     assert general == []
     assert out.dtype == np.uint64 and out.tolist() == dense.tolist()
     with pytest.raises(ParseError, match="line 251: 18446744073709551616 outside"):
-        parse_text_matrix(text + f"{2**64}" + " 1" * 249)  # loadtxt rejects, int() words it
+        parse_text_matrix(text + f"{2**64}" + " 1" * 249)  # fromstring clips it, int() words it
     assert len(general) == 1
     parse_text_matrix("+" + text)
     assert len(general) == 2
 
 
+@pytest.mark.parametrize("sep", [" ", "\t", ","])
+def test_plain_parse_across_chunk_boundaries(monkeypatch, sep):
+    # a boundary of either pass at every offset: inside a field, between
+    # \r and \n, inside a line of separators only, and at each edge of these
+    lines = ["7 123456 0", "", " , \t ,", "0012 5 99999 ", "", "\t 8 0 1", "2 33 444", "  "]
+    text = "\r\n".join(lines).replace(" ", sep) + "\n\n4 5 6"
+    want = reference_parse_text_matrix(text)
+    general = count_calls(monkeypatch, cli, "_parse_fields")
+    for chunk in range(1, len(text) + 2):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        assert parse_text_matrix(text).tolist() == want, chunk
+    assert general == []
+
+
+def test_plain_parse_across_chunk_boundaries_at_full_size(monkeypatch):
+    chunk = cli._CHUNK
+
+    def upto(text, mark):  # whole rows, then separators, up to offset ``mark``
+        n = mark - len(text)
+        return text + "1 2 3\n" * (n // 6) + " " * (n % 6)
+
+    text = upto("", chunk - 2) + "12345 6 7\r"  # a field across the first boundary
+    text = upto(text, 2 * chunk - 7) + "8 9 10\r\n"  # "\r" before the second, "\n" after
+    text = upto(text, 3 * chunk - 5) + " , \t ,\t, \r\n"  # separators only across the third
+    text += "4 5 6\n" * 2
+    assert text[chunk - 2 : chunk + 3] == "12345" and text[2 * chunk - 1 : 2 * chunk + 1] == "\r\n"
+    general = count_calls(monkeypatch, cli, "_parse_fields")
+    for sep in (" ", "\t", ","):
+        spaced = text.replace(" ", sep)
+        assert parse_text_matrix(spaced).tolist() == reference_parse_text_matrix(spaced)
+    assert general == []
+
+
+def test_store_shaped_text_with_the_largest_value_goes_through_int(monkeypatch):
+    dense = sample_matrix(Uniform(1, 40), 250, 250, 7)
+    dense[99, 17] = U64_MAX  # fromstring reads 2**64 - 1 and 2**64 alike
+    text = format_text_matrix(dense)
+    general = count_calls(monkeypatch, cli, "_parse_fields")
+    assert parse_text_matrix(text).tolist() == dense.tolist()
+    assert len(general) == 1
+    with pytest.raises(ParseError, match=r"^line 100: 18446744073709551616 outside unsigned 64-bit range$"):
+        parse_text_matrix(text.replace(str(U64_MAX), str(2**64)))
+    assert len(general) == 2
+
+
 def test_plain_overflow_is_rejected_with_warnings_ignored(monkeypatch):
+    # the ways numpy releases read a field of 2**64 or more: clipped to
+    # 2**64 - 1, read as a wrapped value with only a DeprecationWarning, or
+    # dropped along with the rest of the text
+    def clip(values):
+        return [min(v, U64_MAX) for v in values]
+
+    def warn(values):
+        warnings.warn("string or file could not be read to its end", DeprecationWarning, stacklevel=3)
+        return [v % 2**64 for v in values]
+
+    def short(values):
+        return values[: next(i for i, v in enumerate(values + [2**64]) if v > U64_MAX)]
+
     text = f"1 2\n{2**64} 1\n"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(ParseError, match="line 2: 18446744073709551616 outside"):
-            parse_text_matrix(text)
+    for behaviour in (clip, warn, short):
+        monkeypatch.setattr(np, "fromstring", lambda s, dtype, sep: np.array(
+            behaviour([int(tok) for tok in s.split()]), dtype))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ParseError, match="line 2: 18446744073709551616 outside"):
+                parse_text_matrix(text)
+            assert parse_text_matrix("1 2\n3 4\n").tolist() == [[1, 2], [3, 4]]
 
-        def loadtxt_that_reads_overflow_as_float(*args, **kwargs):  # numpy 1.23 on
-            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
-                          DeprecationWarning, stacklevel=2)
-            return np.zeros((2, 2), dtype=np.uint64)
 
-        monkeypatch.setattr(np, "loadtxt", loadtxt_that_reads_overflow_as_float)
-        with pytest.raises(ParseError, match="line 2: 18446744073709551616 outside"):
-            parse_text_matrix(text)
+def test_comma_text_parse_memory_is_bounded():
+    text = format_text_matrix(sample_matrix(Uniform(1, 64), 1000, 1000, 7)).replace(" ", ",")
+    out, peak = traced_peak(parse_text_matrix, text)
+    assert out.shape == (1000, 1000)
+    # the output is 7.63 MiB; a copy of the whole text with its commas replaced makes 18.3 MiB
+    assert peak <= 10.8 * 2**20
+
+
+def test_compress_reads_its_input_as_utf8_under_any_locale(tmp_path):
+    src, box = tmp_path / "a.txt", tmp_path / "a.ccm"
+    src.write_bytes("\u0663 4\n5 6\n".encode("utf-8"))
+    env = dict(module_env(), LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    done = subprocess.run(
+        [sys.executable, "-m", "ccmatrix", "compress", str(src), str(box)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert load_matrix(box).decompress().tolist() == [[3, 4], [5, 6]]
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="int() has no digit limit")
@@ -710,6 +783,39 @@ def test_cli_on_corrupt_containers_exits_cleanly(
     else:  # one line naming the failure, and nothing else
         (line,) = err.getvalue().splitlines()
         assert line.startswith("error: ")
+
+
+@given(
+    text=plain_texts() | text_matrices(),
+    bad_bytes=st.booleans(),
+    case=st.sampled_from(["file", "file", "file", "missing input", "directory input", "missing output dir"]),
+    options=st.lists(
+        st.sampled_from([["--method", "sm"], ["--method", "vlb"], ["--order", "row"], ["--order", "col"]]),
+        max_size=2,
+    ),
+)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_compress_of_any_text_exits_cleanly(tmp_path_factory, text, bad_bytes, case, options):
+    tmp = tmp_path_factory.mktemp("compress")
+    src, box = tmp / "m.txt", tmp / "m.ccm"
+    if case != "missing input":
+        src.write_bytes(text.encode("utf-8") + (b"\xff" if bad_bytes else b""))
+    if case == "directory input":
+        src = tmp
+    elif case == "missing output dir":
+        box = tmp / "no such dir" / "m.ccm"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["compress", str(src), str(box), *(arg for opt in options for arg in opt)])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+        assert load_matrix(box).decompress().tolist() == reference_parse_text_matrix(text)
+    else:  # one line naming the failure, and no output file
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith("error: ")
+        assert not box.exists()
 
 
 def test_cli_info_width_10(tmp_path, capsys):
