@@ -43,3 +43,14 @@ print("=== values() decodes one sub-lane per offset and roundtrips losslessly ==
 decoded = m.values().tolist()
 print("decoded:", decoded)
 print("roundtrip exact:", (m.decompress() == np.array(row, dtype=np.uint64)).all())
+
+print()
+print("=== blocks(): every element, a block at a time through one reused buffer ===")
+large = np.random.default_rng(2).integers(0, 2**20, size=(300, 300), dtype=np.uint64)
+for packed in (VlbMatrix.compress(large), SmMatrix.compress(large)):
+    total, firsts = 0, []
+    for first, block in packed.blocks():  # elements first.. as a uint64 view of one buffer
+        total += int(block.sum())
+        firsts.append(first)
+    print(f"{type(packed).__name__}: {len(firsts)} blocks from elements {firsts[:3]}...,")
+    print(f"  sum {total} == {int(large.sum())}, never more than one block decoded at once")

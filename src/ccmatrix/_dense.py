@@ -1,5 +1,6 @@
 """Conversion between dense integer matrices and flat element lists, and
-what the two packed matrix classes share."""
+what the two packed matrix classes share: every bulk read goes through
+the codec's ``blocks``."""
 
 from __future__ import annotations
 
@@ -79,7 +80,15 @@ def flat_to_dense(flat: np.ndarray, rows: int, cols: int, order: str) -> np.ndar
 
 class PackedMatrix:
     """Base of SM and VLB: ``rows`` x ``cols`` in ``order``, packed in the BitBuffer ``data``
-    in a format of one parameter, the attribute that ``_PARAM`` names."""
+    in a format of one parameter, the attribute that ``_PARAM`` names.
+
+    Each codec reads in bulk through one generator, ``blocks(out=None)``,
+    which yields ``(e0, block)``: the elements from ``e0`` on, in unravel
+    order, as a uint64 view of ``out``.  ``out`` is None, for one reused
+    buffer of the codec's own block size, or an array of all ``n``
+    elements, which the blocks fill in place; any other size raises
+    ValueError.
+    """
 
     __slots__ = ()
 
@@ -95,6 +104,13 @@ class PackedMatrix:
         return all(getattr(self, f) == getattr(other, f) for f in keys)
 
     __hash__ = None
+
+    def values(self) -> np.ndarray:
+        """All elements in unravel order, as a new uint64 array that the blocks fill."""
+        out = np.empty(self.rows * self.cols, dtype=np.uint64)
+        for _ in self.blocks(out):
+            pass
+        return out
 
     def __repr__(self) -> str:
         p = self._PARAM

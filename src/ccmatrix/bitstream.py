@@ -162,21 +162,24 @@ def pack_fields(words: np.ndarray, pos, width, values: np.ndarray, top: int | No
         np.add.at(words[first + 1 :], w, t)
 
 
-def unpack_fields(words: np.ndarray, pos, width) -> np.ndarray:
-    """Read the fields of ``width`` bits at bit positions ``pos`` as uint64.
+def unpack_fields(words: np.ndarray, pos, width, out: np.ndarray | None = None) -> np.ndarray:
+    """Read the fields of ``width`` bits at bit positions ``pos`` as uint64, into ``out``.
 
-    ``words`` is a uint64 array with one zero pad word after the stream,
-    so a field in the last word can read its (empty) successor.  Callers
-    check that every field lies inside the stream; one that starts past
-    it raises IndexError, as in :func:`pack_fields`.  Each block
-    (:func:`_block`) takes its low words into the output with a clipped
-    ``take``, its high words with an unclipped one, which raises past
-    the pad word, and ORs them in shifted in place.
+    ``out``, if given, is a uint64 array of one element per field, and is
+    returned; otherwise a new one is.  ``words`` is a uint64 array with
+    one zero pad word after the stream, so a field in the last word can
+    read its (empty) successor.  Callers check that every field lies
+    inside the stream; one that starts past it raises IndexError, as in
+    :func:`pack_fields`.  Each block (:func:`_block`) takes its low words
+    into the output with a clipped ``take``, its high words with an
+    unclipped one, which raises past the pad word, and ORs them in
+    shifted in place.
     """
     view, table = _run(words, pos, width)
+    out = np.empty(len(pos), dtype=np.uint64) if out is None else out
     if view is not None:
-        return view.astype(np.uint64)
-    out = np.empty(len(pos), dtype=np.uint64)
+        out[...] = view
+        return out
     for e0 in range(0, out.size, _BLOCK):
         o = out[e0 : e0 + _BLOCK]
         first, w, off, back = _block(pos, width, table, e0, o.size)

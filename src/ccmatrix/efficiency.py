@@ -165,7 +165,7 @@ def measure(m: CompressedMatrix | SmMatrix | VlbMatrix) -> EfficiencyReport:
     :func:`bit_accounting`.  The histogram counts the bit-lengths of the
     elements, block by block (``bit_length_counts``): a length-prefixed
     matrix reads them from its prefixes and decodes no payload, a
-    fixed-width one unpacks its chunks a block at a time.  A caller that
+    fixed-width one counts the blocks of its ``blocks()``.  A caller that
     needs only the three figures calls :func:`bit_accounting` instead.  ``k`` is
     the prefix width the matrix actually stores, or for fixed-width
     matrices the equivalent derived value (bit-length of the largest

@@ -4,10 +4,11 @@ Every element is stored in a chunk of ``width`` bits, where ``width`` is
 the bit-length of the largest element at compression time.  Chunks are
 laid out back to back in unravel order, so element access is a single
 O(1) field read (at most two words when the chunk straddles a word
-boundary).  Bulk pack/unpack is one kernel call over the run
-``range(0, n * width, width)`` of chunk positions, which the kernels work
-through by blocks of whole periods, so no array of ``n`` positions is
-built.
+boundary).  Bulk pack is one kernel call over the run
+``range(0, n * width, width)`` of chunk positions, and bulk unpack
+(``blocks``) one call per block of elements, over the run of its chunks;
+the kernels work through a run by blocks of whole periods, so no array of
+``n`` positions is built.
 """
 
 from __future__ import annotations
@@ -104,20 +105,23 @@ class SmMatrix(PackedMatrix):
             )
         return SmMatrix._fill(self.rows, self.cols, new_width, self.order, self.values())
 
-    def values(self) -> np.ndarray:
-        """All elements in unravel order, as a uint64 array."""
-        n = self.rows * self.cols
-        return unpack_fields(self.data.words, range(0, n * self.width, self.width), self.width)
+    def blocks(self, out: np.ndarray | None = None):
+        """Yield ``(e0, block)``: the elements from ``e0`` on, ``_BLOCK`` at a time.
+
+        Each block is one :func:`unpack_fields` call over a slice of the
+        run of chunk positions, into one reused buffer of ``_BLOCK``
+        elements, or, given an ``out`` of all ``n`` elements, one call
+        that fills it."""
+        n, w = self.rows * self.cols, self.width
+        out = np.empty(min(n, _BLOCK), np.uint64) if out is None else out.reshape(n)
+        for e0 in range(0, n, out.size):
+            run = range(e0 * w, n * w, w)[: out.size]
+            yield e0, unpack_fields(self.data.words, run, w, out[: n - e0])
 
     def bit_length_counts(self) -> np.ndarray:
-        """How many elements have each bit-length 0..64, unpacked ``_BLOCK`` at a time,
+        """How many elements have each bit-length 0..64, counted a block at a time,
         so no array of ``n`` elements is built."""
-        n, w = self.rows * self.cols, self.width
-        counts = np.zeros(WORD_BITS + 1, np.int64)
-        for e0 in range(0, n, _BLOCK):
-            block = unpack_fields(self.data.words, range(e0 * w, min(e0 + _BLOCK, n) * w, w), w)
-            counts += np.bincount(bit_lengths(block), minlength=WORD_BITS + 1)
-        return counts
+        return sum(np.bincount(bit_lengths(b), minlength=WORD_BITS + 1) for _, b in self.blocks())
 
     def decompress(self) -> np.ndarray:
         return flat_to_dense(self.values(), self.rows, self.cols, self.order)

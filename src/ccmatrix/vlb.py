@@ -38,7 +38,7 @@ more to build than the hops of one ``get`` save, so ``get`` keeps
 ``_hop``; ``_walk`` also falls back on ``_hop``, one sub-lane int at a
 time, for a lane that runs past the stream, to raise its error.
 
-The block prefix hops of ``_starts`` serve the load, ``values`` and
+The block prefix hops of ``_starts`` serve the load, ``blocks`` and
 ``bit_length_counts`` alike.  ``from_buffer`` walks prefixes to find the
 sub-lane starts, rejects words or set bits past the stream's end, builds
 the directory from those starts as ``compress`` builds it from the
@@ -46,15 +46,15 @@ element starts, then hops the blocks and reads one bit per payload: a
 payload of ``b`` bits is canonical exactly when ``b == 1`` or its top
 bit is set.  With ``k`` checked against the largest prefix, the load
 rejects every stream that is not the canonical encoding of its elements,
-or whose sub-lanes do not meet where the directory says.  ``values``
-extracts every payload and checks it again; ``bit_length_counts`` runs
-the prefix hops alone: each prefix is its element's bit-length.
+or whose sub-lanes do not meet where the directory says.  ``blocks``,
+the bulk read that ``values`` drains, extracts every payload and checks it
+again; ``bit_length_counts`` runs the prefix hops alone: each prefix is
+its element's bit-length.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from functools import cache
 
 import numpy as np
@@ -339,14 +339,15 @@ class VlbMatrix(PackedMatrix):
         exact end of the stream, :func:`_directory` turns the sub-lane
         starts into checkpoints and offsets, as ``compress`` does, and the
         block hops of :meth:`_starts` find every element's start and prefix
-        ``b`` through one reused block of at most 256 KiB, once the walk's
-        table and starts are released.  No payload is extracted: each is
+        ``b`` through the block buffer that ``_starts`` makes, reused, of
+        at most 256 KiB, once the walk's table and starts are released.
+        Unlike :meth:`blocks`, it extracts no payload: each is
         canonical exactly when ``b == 1`` or its top bit, stream bit
         ``start + k + b - 1``, is set, read from a byte view of the words.
         It raises CorruptStream if the stream is not decodable or not
         canonical, if ``k`` is not the bit-length of the largest prefix, or
         if a sub-lane does not end where the directory says the next one
-        starts, with the messages of :meth:`values`, so a loaded matrix is
+        starts, with the messages of :meth:`blocks`, so a loaded matrix is
         bit-identical to compressing its own elements.  It keeps no
         element: a loaded matrix holds only its words and directory.
         """
@@ -360,7 +361,7 @@ class VlbMatrix(PackedMatrix):
         m = cls(rows, cols, k, order, buf, *directory)
         stream = buf.words.astype("<u8", copy=False).view(np.uint8)
         top = 0
-        for _, _, prefixes in m._starts(np.empty(min(rows * cols, _GROUP * _SUBLANE), np.uint64)):
+        for _, _, prefixes in m._starts():
             for _, starts, b in prefixes:
                 at = starts + (k - 1)
                 at += b  # the top bit of each payload
@@ -402,40 +403,35 @@ class VlbMatrix(PackedMatrix):
             raise CorruptStream("payload runs past end of stream")
         return x >> (p + k) & ((1 << b) - 1)
 
-    def values(self) -> np.ndarray:
-        """All elements in unravel order, as a new uint64 array, decoded in place."""
-        out = np.empty(self.rows * self.cols, dtype=np.uint64)
-        deque(self._blocks(out), maxlen=0)  # drain the generator: it fills ``out``
-        return out
-
     def bit_length_counts(self) -> np.ndarray:
         """How many elements have each bit-length 0..64, read from the prefixes alone.
 
-        They are hopped and checked as in :meth:`_blocks`, but no payload
+        They are hopped and checked as in :meth:`blocks`, but no payload
         is read or checked to be canonical: ``compress`` and
         ``from_buffer`` establish that."""
         counts = np.zeros(WORD_BITS + 1, np.int64)
-        out = np.empty(min(self.rows * self.cols, _GROUP * _SUBLANE), np.uint64)
-        for _, _, prefixes in self._starts(out):
+        for _, _, prefixes in self._starts():
             for _, _, b in prefixes:
                 counts += np.bincount(b, minlength=WORD_BITS + 1)
         return counts
 
-    def _starts(self, out: np.ndarray):
+    def _starts(self, out: np.ndarray | None = None):
         """Hop the prefixes of every sub-lane, one block of ``_GROUP`` sub-lanes at a time.
 
         Only a block's sub-lane starts are held.  Its elements, from ``e0``
-        on, go to ``out[e0 % out.size:]``, so ``out`` holds every element or
-        one block reused.  All sub-lanes of a block hop one element per
-        vectorised step, reading prefixes only (8 steps per block), and
-        store each element's start in the block; a prefix past the end of
-        the stream is read at its last bit, and fails the checks of the
-        block's :func:`_prefixes`, yielded as ``(e0, block, prefixes)``.
+        on, go to ``out[e0 % out.size:]``, so ``out`` holds every element or,
+        by default, one block of at most 256 KiB reused.  All sub-lanes of
+        a block hop one element per vectorised step, reading prefixes only
+        (8 steps per block), and store each element's start in the block;
+        a prefix past the end of the stream is read at its last bit, and
+        fails the checks of the block's :func:`_prefixes`, yielded as
+        ``(e0, block, prefixes)``.
         Each sub-lane must end where the directory says the next starts, the
         last at the end of the stream, and start at offset 0 if it starts a
         lane, or CorruptStream is raised.
         """
         n = self.rows * self.cols
+        out = np.empty(min(n, _GROUP * _SUBLANE), np.uint64) if out is None else out.reshape(n)
         k = self.k
         limit = self.data.bit_len
         words = self.data.words
@@ -464,21 +460,21 @@ class VlbMatrix(PackedMatrix):
             seams = lane_pos.item(-1) == after and (lane_pos[:-1] == nxt).all()
             yield e0, block, _prefixes(block, lane_pos, seams, k, limit)
 
-    def _blocks(self, out: np.ndarray):
+    def blocks(self, out: np.ndarray | None = None):
         """Decode and validate the stream, one block of ``_GROUP`` sub-lanes at a time.
 
-        ``(e0, block)`` is yielded once the block of :meth:`_starts` holds
-        its elements and is checked: each group's payloads are extracted
-        and CorruptStream is raised where a prefix is not the bit-length of
-        its payload.  ``k`` must be the bit-length of the largest prefix,
-        checked on a running maximum after the last block.
+        ``(e0, block)`` is yielded once the block of :meth:`_starts`, a
+        view of ``out``, holds its elements and is checked: each group's
+        payloads are extracted and CorruptStream is raised where a prefix
+        is not the bit-length of its payload.  ``k`` must be the bit-length
+        of the largest prefix, checked on a running maximum after the last
+        block, so only a drained generator has checked the whole stream.
         """
         k = self.k
-        words = self.data.words
         top = 0
         for e0, block, prefixes in self._starts(out):
             for a, pos, b in prefixes:
-                v = unpack_fields(words, pos + k, b)
+                v = unpack_fields(self.data.words, pos + k, b)
                 # (v | 1) >> (b - 1) is 0 where a payload wider than 1 bit lacks its top bit
                 top_bits = (v | 1) >> (b - 1).view(np.uint64)
                 if top_bits.min() == 0:

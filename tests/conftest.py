@@ -138,7 +138,7 @@ def reference_validate(rows, cols, k, order, buf):
     buf.check_padding()
     m = VlbMatrix(rows, cols, k, order, buf, *_directory(np.array(heads, dtype=np.int64)))
     top = 0
-    for _, _, prefixes in m._starts(np.empty(min(n, 4096 * 8), np.uint64)):
+    for _, _, prefixes in m._starts():
         for _, pos, b in prefixes:
             v = unpack_fields(buf.words, pos + k, b)
             bad = (v | 1) >> (b - 1).view(np.uint64) == 0

@@ -818,6 +818,87 @@ def test_cli_compress_of_any_text_exits_cleanly(tmp_path_factory, text, bad_byte
         assert not box.exists()
 
 
+# Parameter values of the right type but any value: NaN, infinities, out of range.
+# Each goes in as ``--flag=value``, as argparse takes ``-1e+16`` or ``-inf`` for a flag.
+cli_floats = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.5", "1", "1.5", "32", "1e300"]) | st.floats().map(repr)
+cli_ints = st.integers(-3, 70).map(str)
+
+
+@st.composite
+def experiment_argv(draw):
+    argv = ["experiment"]
+    source = draw(st.sampled_from(["table", "dist", "dist", "neither"]))
+    if source == "table":
+        argv += ["--table", draw(st.sampled_from(["3", "4", "5"]))]
+    elif source == "dist":
+        dists = ["uniform", "binomial", "poisson", "beta-mixture", "constant", "two-point"]
+        argv += ["--dist", draw(st.sampled_from(dists))]
+    for flag in ("--a", "--b", "--n"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(cli_ints)}")
+    for flag in ("--p", "--lambda", "--alpha1", "--beta1", "--alpha2", "--beta2", "--w"):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(cli_floats)}")
+    argv += ["--size", *draw(st.lists(st.integers(-2, 40).map(str), min_size=1, max_size=2))]
+    argv.append(f"--replicates={draw(st.integers(-1, 3))}")
+    if draw(st.booleans()):
+        argv += ["--k-policy", draw(st.sampled_from(["fixed-7", "derived"]))]
+    return argv
+
+
+@st.composite
+def sweep_argv(draw):
+    if draw(st.integers(0, 4)) == 0:
+        return ["sweep", "--fig", "19"]
+    lo, step = draw(st.integers(-2, 12)), draw(st.integers(-2, 20))
+    hi = lo + step * draw(st.integers(-1, 3)) + draw(st.integers(-1, 1))  # at most 4 axis values
+    argv = ["sweep", f"--lo={lo}", f"--hi={hi}", f"--step={step}"]
+    argv += [f"--size={draw(st.integers(-2, 40))}", f"--w={draw(cli_floats)}"]
+    if draw(st.booleans()):
+        argv += ["--fig", "6"]
+    return argv
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+    else:  # one line naming the failure, and nothing else
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith("error: ")
+    return code, out.getvalue()
+
+
+@given(
+    argv=experiment_argv() | sweep_argv(),
+    seed=st.integers(-3, 3) | st.integers(0, 2**70),
+    missing_dir=st.booleans(),
+)
+@example(["experiment", "--dist", "poisson", "--lambda", "inf", "--size", "5", "--replicates", "1"], 0, False)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_experiment_and_sweep_on_any_parameters_exit_cleanly(
+    tmp_path_factory, argv, seed, missing_dir
+):
+    argv = argv + [f"--seed={seed}"]
+    code, printed = run_main(argv)
+    if code:
+        assert printed == ""
+        return
+    tmp = tmp_path_factory.mktemp("csv")
+    path = tmp / "no such dir" / "t.csv" if missing_dir else tmp / "t.csv"
+    again, nothing = run_main(argv + ["--csv", str(path)])
+    assert nothing == ""
+    if missing_dir:
+        assert again == 3 and not path.exists()
+    else:  # the file holds the printed rows, with the csv module's \r\n line ends
+        assert again == 0
+        assert path.read_bytes().replace(b"\r\n", b"\n") == printed.encode()
+
+
 def test_cli_info_width_10(tmp_path, capsys):
     src = write_row(tmp_path)
     box = tmp_path / "m.ccm"
@@ -957,8 +1038,8 @@ def test_loaded_vlb_decodes_again_after_the_load_decode():
     assert (first == second).all() and (m.decompress() == dense).all()
 
 
-# (values() calls, lane decodes, prefix passes, prefix walks): the load walks the
-# prefixes and checks one bit per payload; info then reads only the prefixes,
+# (values() calls, blocks() decodes, prefix passes, prefix walks): the load walks
+# the prefixes and checks one bit per payload; info then reads only the prefixes,
 # decompress decodes
 @pytest.mark.parametrize(
     "command, counts",
@@ -978,7 +1059,7 @@ def test_cli_keeps_no_decoded_array_of_a_loaded_vlb_stream(
 
     monkeypatch.setattr(cli, "load_matrix", load)
     values = count_calls(monkeypatch, VlbMatrix, "values")
-    decodes = count_calls(monkeypatch, VlbMatrix, "_blocks")
+    decodes = count_calls(monkeypatch, VlbMatrix, "blocks")
     passes = count_calls(monkeypatch, VlbMatrix, "bit_length_counts")
     walks = count_calls(monkeypatch, VlbMatrix, "_starts")
     argv = [command, str(box)] + ([str(tmp_path / "m.txt")] if command == "decompress" else [])
@@ -1012,8 +1093,8 @@ def test_cli_compress_reports_without_decoding(tmp_path, monkeypatch, capsys, me
     src.write_text(format_text_matrix(random_matrix(6, rows=20, cols=30, top=40)))
     box = tmp_path / "m.ccm"
     calls = [
-        count_calls(monkeypatch, VlbMatrix, "_blocks"),
-        count_calls(monkeypatch, SmMatrix, "values"),
+        count_calls(monkeypatch, VlbMatrix, "blocks"),
+        count_calls(monkeypatch, SmMatrix, "blocks"),
         count_calls(monkeypatch, cli, "measure"),
     ]
     assert main(["compress", str(src), str(box), "--method", method]) == 0

@@ -724,3 +724,57 @@ def test_walked_offsets_that_wrap_are_rejected(stride, offset_dtype):
     assert offsets.dtype == offset_dtype and offsets.tolist() == walked
     with pytest.raises(CorruptStream, match="length prefix 127 exceeds 64 bits"):
         VlbMatrix.from_buffer(1, 600, 7, "row", BitBuffer.from_bytes(blob, bits))
+
+
+# Past one default block: SM's 8,192 elements, VLB's 4,096 sub-lanes of 8.
+BLOCK_SIZES = SIZES + (2 * 8192 + 5, 2 * 4096 * 8 + 9)
+CODECS = [pytest.param(("sm", w), id=f"sm-{w}") for w in (1, 7, 8, 16, 32, 40, 64)] + [
+    pytest.param(("vlb", Uniform(a, b)), id=f"vlb-uniform-{a}-{b}") for a, b in ((1, 40), (58, 64))
+]
+
+
+def codec_matrix(codec, size, order):
+    """A matrix of ``size`` elements: SM at exactly width ``w``, or VLB of a distribution."""
+    rows, cols = shape_of(size)
+    kind, param = codec
+    if kind == "vlb":
+        return VlbMatrix.compress(sample_matrix(param, rows, cols, seed=size), order)
+    rng = np.random.default_rng(size)
+    values = rng.integers(0, U64_MAX, size, dtype=np.uint64, endpoint=True) >> np.uint64(64 - param)
+    values[size // 2] = U64_MAX >> (64 - param)
+    return SmMatrix.from_values(rows, cols, param, values, order)
+
+
+@pytest.mark.parametrize("codec", CODECS)
+@pytest.mark.parametrize("order", ["row", "col"])
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_blocks_are_views_of_out_that_concatenate_to_values(codec, order, size):
+    m = codec_matrix(codec, size, order)
+    if codec[0] == "sm":
+        assert m.width == codec[1]
+    values = m.values()
+    assert np.array_equal(values, m.decompress().ravel(order="C" if order == "row" else "F"))
+    for out in (None, np.empty(size, np.uint64)):
+        e0s, parts, held = [], [], []
+        for e0, block in m.blocks(out):
+            assert block.dtype == np.uint64 and block.size
+            e0s.append(e0)
+            parts.append(block.copy())  # a reused buffer is overwritten by the next block
+            held.append(block)
+        assert e0s == np.cumsum([0] + [p.size for p in parts[:-1]]).tolist()
+        assert np.array_equal(np.concatenate(parts), values)
+        base = held[0] if out is None else out
+        assert all(np.shares_memory(block, base) for block in held)
+        if out is None:  # one block of the codec's own size, reused
+            own = 8192 if codec[0] == "sm" else 4096 * 8
+            assert held[0].size == min(size, own) and len(e0s) == -(-size // own)
+        else:
+            assert np.array_equal(out, values)  # each block filled its own slice
+
+
+@pytest.mark.parametrize("codec", CODECS)
+@pytest.mark.parametrize("size", [199, 201, 8192])
+def test_blocks_reject_an_out_of_any_other_size(codec, size):
+    m = codec_matrix(codec, 200, "row")
+    with pytest.raises(ValueError):
+        next(m.blocks(np.empty(size, np.uint64)))
