@@ -7,8 +7,9 @@ in the remaining bits of a word straddles into the low bits of the next
 one (low-order segment first).
 
 Bulk paths go through two word-level numpy kernels, :func:`pack_fields`
-and :func:`unpack_fields`, which place or extract many fields at once
-and take ``BitBuffer.words`` as it is: the stream words plus one zero pad
+and the block generator :func:`unpack_blocks` (drained whole by
+:func:`unpack_fields`).  They place or extract many fields at once and
+take ``BitBuffer.words`` as it is: the stream words plus one zero pad
 word.  Fields are given either as arrays of bit positions and widths
 (the positions case, which VLB uses) or as a run: back-to-back fields of
 one width, given as a ``range`` of bit positions (the case SM uses).
@@ -166,22 +167,39 @@ def unpack_fields(words: np.ndarray, pos, width, out: np.ndarray | None = None) 
     """Read the fields of ``width`` bits at bit positions ``pos`` as uint64, into ``out``.
 
     ``out``, if given, is a uint64 array of one element per field, and is
-    returned; otherwise a new one is.  ``words`` is a uint64 array with
-    one zero pad word after the stream, so a field in the last word can
-    read its (empty) successor.  Callers check that every field lies
-    inside the stream; one that starts past it raises IndexError, as in
-    :func:`pack_fields`.  Each block (:func:`_block`) takes its low words
-    into the output with a clipped ``take``, its high words with an
-    unclipped one, which raises past the pad word, and ORs them in
-    shifted in place.
+    returned; otherwise a new one is.  It drains :func:`unpack_blocks`.
+    """
+    out = np.empty(len(pos), dtype=np.uint64) if out is None else out
+    for _ in unpack_blocks(words, pos, width, out):
+        pass
+    return out
+
+
+def unpack_blocks(words: np.ndarray, pos, width, out: np.ndarray):
+    """Yield ``(e0, block)`` once ``block`` holds the fields from ``e0`` on, one block at a time.
+
+    ``block`` is ``out[e0 % out.size:]``, cut to the block, so ``out``
+    holds one element per field, or one block that each block reuses:
+    ``min(len(pos), _BLOCK)`` elements.  A run takes the word indexes and
+    offsets of all its blocks from the one table :func:`_run` builds; a
+    run that is a view of the words is copied ``out.size`` fields at a
+    time.  ``words`` is a uint64 array with one zero pad word after the
+    stream, so a field in the last word can read its (empty) successor.
+    Callers check that every field lies inside the stream; one that
+    starts past it raises IndexError, as in :func:`pack_fields`.  Each
+    block (:func:`_block`) takes its low words into ``block`` with a
+    clipped ``take``, its high words with an unclipped one, which raises
+    past the pad word, and ORs them in shifted in place.
     """
     view, table = _run(words, pos, width)
-    out = np.empty(len(pos), dtype=np.uint64) if out is None else out
-    if view is not None:
-        out[...] = view
-        return out
-    for e0 in range(0, out.size, _BLOCK):
-        o = out[e0 : e0 + _BLOCK]
+    n = len(pos)
+    step = _BLOCK if view is None else max(out.size, 1)  # no fields, no block
+    for e0 in range(0, n, step):
+        o = out[e0 % out.size :][: min(step, n - e0)]
+        if view is not None:
+            o[...] = view[e0 : e0 + o.size]
+            yield e0, o
+            continue
         first, w, off, back = _block(pos, width, table, e0, o.size)
         words[first:].take(w, out=o, mode="clip")
         o >>= off
@@ -193,7 +211,7 @@ def unpack_fields(words: np.ndarray, pos, width, out: np.ndarray | None = None) 
         o |= h
         del w, off, back, h  # freed before the masks are built
         o &= _MASKS[width[e0 : e0 + o.size] if isinstance(width, np.ndarray) else width]
-    return out
+        yield e0, o
 
 
 def read_bits(words: np.ndarray, pos: int, width: int) -> int:

@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .bitstream import U64_MAX, bit_length
+from .bitstream import _BLOCK, U64_MAX, bit_length
 from .efficiency import WORST_CASE_K, eta1, eta2
 
 
@@ -112,6 +112,12 @@ class TwoPoint:
             raise ValueError("bit-lengths must lie in 1..64")
         if not 0 <= self.p1 <= 1:
             raise ValueError("p1 must lie in [0, 1]")
+
+
+# By bit-length b in 0..64: the mask of the random low bits that b keeps
+# (none for 0, one for 1, b - 1 from 2 on) and the top bit that b >= 2 sets.
+_LOW = np.array([0, 1] + [(1 << (b - 1)) - 1 for b in range(2, 65)], dtype=np.uint64)
+_TOP = np.array([0, 0] + [1 << (b - 1) for b in range(2, 65)], dtype=np.uint64)
 
 
 BitLengthDist = Union[BetaMixture, Uniform, Binomial, PoissonTrunc, Constant, TwoPoint]
@@ -207,20 +213,24 @@ def sample_matrix(dist: BitLengthDist, rows: int, cols: int, seed: int) -> np.nd
 
     Bit-length 1 yields a uniform draw from {0, 1}; bit-length b >= 2 a
     uniform draw from [2**(b-1), 2**b - 1]; a raw bit-length of 0 yields 0.
+
+    The bit-lengths are drawn first, then 64 random bits per element,
+    which are realized in place ``_BLOCK`` (8,192) elements at a time:
+    ``bits & _LOW[b] | _TOP[b]``, two lookups in tables of 65 entries.
+    So no temporary exceeds 64 KiB beside the two draws (a 1000x1000
+    call peaks at about 15 MiB for its 7.6 MiB result, against 47 MiB
+    for whole-array masks and gathers).
     """
     if rows < 1 or cols < 1:
         raise ValueError("rows and cols must be >= 1")
     rng = np.random.default_rng(seed)
     n = rows * cols
     bl = _draw_bitlens(dist, n, rng)
-    bits = rng.integers(0, 2**64, size=n, dtype=np.uint64)
-    vals = np.zeros(n, dtype=np.uint64)
-    one = bl == 1
-    vals[one] = bits[one] & np.uint64(1)
-    multi = bl >= 2
-    if multi.any():
-        top = np.left_shift(np.uint64(1), (bl[multi] - 1).astype(np.uint64))
-        vals[multi] = top | (bits[multi] & (top - np.uint64(1)))
+    vals = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+    for e0 in range(0, n, _BLOCK):
+        b, v = bl[e0 : e0 + _BLOCK], vals[e0 : e0 + _BLOCK]
+        v &= _LOW.take(b)
+        v |= _TOP.take(b)
     return vals.reshape(rows, cols)
 
 

@@ -6,9 +6,9 @@ laid out back to back in unravel order, so element access is a single
 O(1) field read (at most two words when the chunk straddles a word
 boundary).  Bulk pack is one kernel call over the run
 ``range(0, n * width, width)`` of chunk positions, and bulk unpack
-(``blocks``) one call per block of elements, over the run of its chunks;
-the kernels work through a run by blocks of whole periods, so no array of
-``n`` positions is built.
+(``blocks``) one :func:`unpack_blocks` generator over the same run; the
+kernels work through a run by blocks of whole periods, all from one
+table of positions, so no array of ``n`` positions is built.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .bitstream import (
     bit_lengths,
     pack_fields,
     read_bits,
-    unpack_fields,
+    unpack_blocks,
     write_bits,
 )
 from .errors import FieldOverflow, NarrowingRequested, WidthOverflow
@@ -108,15 +108,13 @@ class SmMatrix(PackedMatrix):
     def blocks(self, out: np.ndarray | None = None):
         """Yield ``(e0, block)``: the elements from ``e0`` on, ``_BLOCK`` at a time.
 
-        Each block is one :func:`unpack_fields` call over a slice of the
-        run of chunk positions, into one reused buffer of ``_BLOCK``
-        elements, or, given an ``out`` of all ``n`` elements, one call
-        that fills it."""
+        The blocks are those of one :func:`unpack_blocks` call over the
+        run of all chunk positions, so the run's table is built once, into
+        one reused buffer of ``_BLOCK`` elements or, given an ``out`` of
+        all ``n`` elements, into its slices."""
         n, w = self.rows * self.cols, self.width
         out = np.empty(min(n, _BLOCK), np.uint64) if out is None else out.reshape(n)
-        for e0 in range(0, n, out.size):
-            run = range(e0 * w, n * w, w)[: out.size]
-            yield e0, unpack_fields(self.data.words, run, w, out[: n - e0])
+        yield from unpack_blocks(self.data.words, range(0, n * w, w), w, out)
 
     def bit_length_counts(self) -> np.ndarray:
         """How many elements have each bit-length 0..64, counted a block at a time,

@@ -772,6 +772,15 @@ def test_blocks_are_views_of_out_that_concatenate_to_values(codec, order, size):
             assert np.array_equal(out, values)  # each block filled its own slice
 
 
+@pytest.mark.parametrize("width", [7, 8, 40])
+def test_sm_blocks_build_the_run_table_once(monkeypatch, width):
+    m = codec_matrix(("sm", width), 3 * 8192 + 5, "row")
+    runs = count_calls(monkeypatch, bitstream, "_run")
+    counts = m.bit_length_counts()
+    assert len(runs) == 1  # one table (or view) for all four blocks
+    assert counts.tolist() == np.bincount(bit_lengths(m.values()), minlength=65).tolist()
+
+
 @pytest.mark.parametrize("codec", CODECS)
 @pytest.mark.parametrize("size", [199, 201, 8192])
 def test_blocks_reject_an_out_of_any_other_size(codec, size):

@@ -3,11 +3,13 @@
 A hypothesis state machine (stateful testing as in QuickCheck) runs
 sequences of operations on compressed matrices beside a dense uint64
 model of each: compress, point reads and in-place writes, widening,
-arithmetic on results, and a save and reload.  After every step each
-matrix must decode to its model, so a block buffer or a view of ``words``
-shared between matrices shows up as a mismatch.  The matrices a step made
+arithmetic on results (a matrix product against the exact Python-int
+one), and a save and reload.  After every step each matrix must decode
+to its model, so a block buffer or a view of ``words`` shared between
+matrices shows up as a mismatch.  The matrices a step made
 or changed are checked further: their blocks, their histogram, their
-width, and a reload that gives the same bytes.
+width, their measured efficiency against the formula of their codec, and
+a reload that gives the same bytes.
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 from ccmatrix.bitstream import U64_MAX, bit_length, bit_lengths
 from ccmatrix.cmatrix import CompressedMatrix
 from ccmatrix.container import dump_bytes, load_bytes
-from ccmatrix.efficiency import measure
+from ccmatrix.efficiency import eta1, eta2, measure
 from ccmatrix.errors import ArithmeticOverflow, NarrowingRequested, WidthOverflow
 
 # Largest bit-length of a drawn matrix: the SM view widths 8/16/32/64, the
@@ -31,8 +33,8 @@ scalars = st.sampled_from([0, 1, 2, 3, 1 << 32, 1 << 63, U64_MAX]) | st.integers
 
 
 @st.composite
-def dense_matrices(draw):
-    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+def dense_matrices(draw, shape=None):
+    rows, cols = shape or (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
     top = draw(st.sampled_from(TOPS))
     values = draw(st.lists(st.integers(0, (1 << top) - 1), min_size=rows * cols, max_size=rows * cols))
     if draw(st.booleans()):  # reach the top, so the SM width is exactly ``top``
@@ -137,6 +139,21 @@ class PackedMatrices(RuleBasedStateMachine):
             return
         self.add_entry(e.cm.scalar_mul(s), e.model * np.uint64(s))
 
+    @rule(pick=picks, narrow=st.booleans(), method=methods, order=orders, data=st.data())
+    def matmul(self, pick, narrow, method, order, data):
+        """An entry ``m x n`` times a new right operand: square ``n x n``, or a narrow ``n x 1``."""
+        ea = self.pick(pick)
+        n = ea.model.shape[1]
+        right = data.draw(dense_matrices((n, 1) if narrow else (n, n)))
+        eb = CompressedMatrix.compress(right, method, order)
+        self.add_entry(eb, right.copy())
+        exact = ea.model.astype(object) @ right.astype(object)
+        if (exact > U64_MAX).any():
+            with pytest.raises(ArithmeticOverflow):
+                ea.cm.matmul(eb)
+            return
+        self.add_entry(ea.cm.matmul(eb), exact.astype(np.uint64))
+
     @rule(pick=picks)
     def transpose(self, pick):
         e = self.pick(pick)
@@ -166,7 +183,11 @@ class PackedMatrices(RuleBasedStateMachine):
             blob = dump_bytes(e.cm)
             assert dump_bytes(load_bytes(blob)) == blob
             counts = np.bincount(bit_lengths(e.model.ravel()))
-            assert measure(e.cm).histogram == {b: int(c) for b, c in enumerate(counts) if c}
+            report = measure(e.cm)
+            assert report.histogram == {b: int(c) for b, c in enumerate(counts) if c}
+            inner = e.cm.inner
+            formula = eta1(inner.width) if e.cm.method == "sm" else eta2(report.histogram, inner.k)
+            assert report.eta == formula
         self.touched.clear()
 
 
