@@ -25,7 +25,9 @@ of a run takes its word indexes and offsets from one table; at widths
 the sum equals the OR and nothing carries.
 
 Single fields are read and written by :func:`read_bits` and
-:func:`write_bits`, on one or two words as Python ints and unchecked.
+:func:`write_bits`, on one or two words and unchecked.  They index
+``BitBuffer.view``, a ``memoryview`` of the words whose items are Python
+ints, which costs less per word than a numpy scalar.
 ``BitBuffer.read_field``/``write_field`` call them after checking their
 arguments; ``SmMatrix.get``/``set``, whose index and width already bound
 the field, call them directly.
@@ -214,35 +216,34 @@ def unpack_blocks(words: np.ndarray, pos, width, out: np.ndarray):
         yield e0, o
 
 
-def read_bits(words: np.ndarray, pos: int, width: int) -> int:
+def read_bits(words, pos: int, width: int) -> int:
     """The ``width``-bit field at bit ``pos`` of ``words``, unchecked.
 
-    ``pos`` and ``width`` are Python ints, and the field lies inside
-    ``words``.  One or two words are read as Python ints: a word of 2**63
-    or more shifted by a numpy integer overflows.
+    ``words`` is a sequence of 64-bit words as Python ints, such as
+    ``BitBuffer.view``; ``pos`` and ``width`` are Python ints, and the
+    field lies inside ``words``.  One or two words are read.
     """
     w, off = pos >> 6, pos & 63
-    out = words.item(w) >> off
+    out = words[w] >> off
     if off + width > WORD_BITS:
-        out |= words.item(w + 1) << (WORD_BITS - off)
+        out |= words[w + 1] << (WORD_BITS - off)
     return out & ((1 << width) - 1)
 
 
-def write_bits(words: np.ndarray, pos: int, width: int, value: int) -> None:
+def write_bits(words, pos: int, width: int, value: int) -> None:
     """Replace the ``width``-bit field at bit ``pos`` of ``words`` by ``value``, unchecked.
 
     As :func:`read_bits`, with ``0 <= value < 2**width``; no other bit
     changes.  Each word XORs in the difference between its bits and the
-    value's: ``~mask`` on a numpy uint64 overflows, so words are combined
-    as Python ints.
+    value's, cut to 64 bits.
     """
     w, off = pos >> 6, pos & 63
     mask = (1 << width) - 1
-    x = words.item(w)
+    x = words[w]
     words[w] = x ^ (((x >> off ^ value) & mask) << off & U64_MAX)
     if off + width > WORD_BITS:
         low = WORD_BITS - off  # bits of the field in word ``w``
-        x = words.item(w + 1)
+        x = words[w + 1]
         words[w + 1] = x ^ ((x ^ value >> low) & mask >> low)
 
 
@@ -252,15 +253,28 @@ class BitBuffer:
     ``words`` is a uint64 array of ``ceil(bit_len / 64)`` stream words and
     one zero pad word, the layout the kernels read and write.  Every bit
     at a position ``>= bit_len`` is zero, so equal contents compare equal.
+    ``view`` is a ``memoryview`` of ``words`` whose items are Python ints,
+    for point reads and writes; ``octets`` is its byte cast, the stream's
+    bytes in order, on a little-endian host, and None on a big-endian one.
+    Both are rebuilt wherever ``words`` is assigned, so they always belong
+    to the buffer's own words.
     """
 
-    __slots__ = ("words", "bit_len")
+    __slots__ = ("words", "bit_len", "view", "octets")
 
     def __init__(self, bit_len: int = 0, words: np.ndarray | None = None):
         if words is None:
             words = np.zeros((bit_len + WORD_BITS - 1) // WORD_BITS + 1, dtype=np.uint64)
-        self.words = words
+        self._adopt(words)
         self.bit_len = bit_len
+
+    def _adopt(self, words: np.ndarray) -> None:
+        self.words = words
+        self.view = memoryview(words)
+        self.octets = self.view.cast("B") if _LITTLE else None
+
+    def __reduce__(self):  # the views are rebuilt from the words, never pickled or shared
+        return BitBuffer, (self.bit_len, self.words)
 
     def copy(self) -> "BitBuffer":
         return BitBuffer(self.bit_len, self.words.copy())
@@ -290,9 +304,9 @@ class BitBuffer:
         if end > self.bit_len:
             grow = (end + WORD_BITS - 1) // WORD_BITS + 1 - self.words.size
             if grow > 0:
-                self.words = np.concatenate((self.words, np.zeros(grow, dtype=np.uint64)))
+                self._adopt(np.concatenate((self.words, np.zeros(grow, dtype=np.uint64))))
             self.bit_len = end
-        write_bits(self.words, pos, width, value)
+        write_bits(self.view, pos, width, value)
 
     def read_field(self, pos: int, width: int) -> int:
         """Read the unsigned value stored in bits ``[pos, pos + width)``.
@@ -307,7 +321,7 @@ class BitBuffer:
             raise OutOfBounds(
                 f"field [{pos}, {pos + width}) outside buffer of {self.bit_len} bits"
             )
-        return read_bits(self.words, pos, width)
+        return read_bits(self.view, pos, width)
 
     def check_padding(self) -> None:
         """Raise CorruptStream if a bit at or past ``bit_len`` is set."""

@@ -78,9 +78,9 @@ class SmMatrix(PackedMatrix):
         return cls(rows, cols, width, order, data)
 
     def get(self, i: int, j: int) -> int:
-        """Read one element: its chunk, from one or two words (:func:`read_bits`)."""
+        """Read one element's chunk from one or two words of ``data.view`` (:func:`read_bits`)."""
         idx = unravel_index(i, j, self.rows, self.cols, self.order)
-        return read_bits(self.data.words, idx * self.width, self.width)
+        return read_bits(self.data.view, idx * self.width, self.width)
 
     def set(self, i: int, j: int, value: int) -> None:
         """Overwrite one element in place.
@@ -88,14 +88,14 @@ class SmMatrix(PackedMatrix):
         The value must fit the existing chunk width; use :meth:`widen`
         first if it does not.  It is checked once, here; the index is
         checked by ``unravel_index``, so :func:`write_bits` writes the
-        chunk unchecked.
+        chunk unchecked, through ``data.view``.
         """
         value = operator.index(value)
         width = self.width
         if value >> width:  # also for a negative value; bit_length raises ValueError for it
             raise WidthOverflow(f"{value} needs {bit_length(value)} bits, chunk width is {width}")
         idx = unravel_index(i, j, self.rows, self.cols, self.order)
-        write_bits(self.data.words, idx * width, width, value)
+        write_bits(self.data.view, idx * width, width, value)
 
     def widen(self, new_width: int) -> "SmMatrix":
         """Re-encode at a larger chunk width, preserving all elements."""

@@ -24,9 +24,10 @@ prefixes only (8 steps per block whatever the matrix size), and then one
 pass over groups of whole sub-lanes extracts and checks every payload.
 Each sub-lane must end exactly where the next one starts.
 
-Two prefix walkers hop the stream.  ``get`` reads the words of one
-sub-lane as one Python int, shifted so the sub-lane starts at bit 0, and
-``_hop`` hops it with one shift and mask per prefix: broadword rank/select
+Two prefix walkers hop the stream.  ``get`` reads the bytes of one
+sub-lane, through the buffer's byte view ``octets``, as one Python int,
+shifted so the sub-lane starts at bit 0, and ``_hop`` hops it with one
+shift and mask per prefix: broadword rank/select
 works a whole word per operation, and here the word is the whole
 sub-lane.  ``from_buffer`` finds every sub-lane start with ``_walk``,
 which hops the whole stream through a table indexed by bit position, as
@@ -93,14 +94,19 @@ def _hop(x: int, count: int, k: int, limit: int) -> int:
     Returns the bit where the next element starts.  Raises CorruptStream
     if a prefix would run past bit ``limit``.  ``get`` hops one sub-lane
     with it, and ``_walk`` re-walks a lane that runs past the stream.
+    Only the last start hopped from is checked: each hop adds at least
+    ``k >= 1`` bits, so starts only grow, and the last one lies past bit
+    ``limit - k`` exactly when some earlier one does.  So this one check
+    raises where a check per hop would, with the same message; the hops
+    after the first bad start read bits past ``limit`` that no result uses.
     """
     kmask = (1 << k) - 1
-    last = limit - k  # the last bit a prefix may start at
-    p = 0
+    p = q = 0
     for _ in range(count):
-        if p > last:
-            raise CorruptStream("prefix runs past end of stream")
+        q = p
         p += k + (x >> p & kmask)
+    if count and q > limit - k:
+        raise CorruptStream("prefix runs past end of stream")
     return p
 
 
@@ -377,22 +383,33 @@ class VlbMatrix(PackedMatrix):
 
         The sub-lane starts ``offsets[s]`` bits after its lane's
         checkpoint, so at most 7 prefixes lie between it and the element.
-        It ends where the next sub-lane starts, or at the end of the
-        stream for the last one; CorruptStream is raised where a hopped
-        prefix, or the element's own prefix or payload, runs past that
-        end.  Its words, plus one, are read as one Python int, shifted so
-        the sub-lane starts at bit 0: hops, prefix and payload are all
-        shifts and masks of that int.
+        It ends where the next sub-lane starts, read from the same
+        checkpoint for 7 of every 8 sub-lanes, or at the end of the stream
+        for the last one.  Its bytes are read from ``data.octets`` as one
+        Python int, shifted so the sub-lane starts at bit 0 (from the words,
+        through :func:`_bits`, on a big-endian host): hops, prefix and
+        payload are all shifts and masks of that int.  CorruptStream is
+        raised where a hopped prefix, or the element's own prefix or
+        payload, runs past the sub-lane's end.  :func:`_hop` checks only the
+        last start it hopped from, which raises exactly where a check per
+        hop would, as starts only grow.
         """
         idx = unravel_index(i, j, self.rows, self.cols, self.order)
         offs = self.offsets
         cps = self.checkpoints
+        data = self.data
         s = idx // _SUBLANE
-        pos = cps.item(s // _PER) + offs.item(s)
-        end = self.data.bit_len
-        if s + 1 < offs.size:
-            end = cps.item((s + 1) // _PER) + offs.item(s + 1)
-        x = _bits(self.data.words, pos, (end >> 6) + 2)
+        lane = cps.item(s // _PER)
+        pos = lane + offs.item(s)
+        end = data.bit_len
+        nxt = s + 1
+        if nxt < offs.size:
+            end = (lane if nxt % _PER else cps.item(nxt // _PER)) + offs.item(nxt)
+        octets = data.octets
+        if octets is None:
+            x = _bits(data.words, pos, (end >> 6) + 2)
+        else:
+            x = int.from_bytes(octets[pos >> 3 : (end + 7) >> 3], "little") >> (pos & 7)
         k = self.k
         limit = end - pos
         p = _hop(x, idx - s * _SUBLANE, k, limit)

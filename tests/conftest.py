@@ -122,6 +122,37 @@ def reference_walk(buf, n, k):
     return starts, pos
 
 
+def reference_get(m, idx):
+    """Reference VLB random access: hop from the start of element ``idx``'s sub-lane,
+    over a list of words, checking every hopped prefix against the sub-lane's end.
+
+    The sub-lane ends where the next one starts, or at ``bit_len`` for the
+    last.  Returns the element, or raises CorruptStream with the message of
+    ``VlbMatrix.get``.
+    """
+    k, words = m.k, m.data.words.tolist()
+    s = idx // 8
+    pos = int(m.checkpoints[s // 8]) + int(m.offsets[s])
+    end = m.data.bit_len
+    if s + 1 < m.offsets.size:
+        end = int(m.checkpoints[(s + 1) // 8]) + int(m.offsets[s + 1])
+
+    def field(p, width):
+        w = p >> 6
+        return (words[w] | words[w + 1] << WORD_BITS) >> (p & 63) & ((1 << width) - 1)
+
+    for _ in range(idx % 8):
+        if pos > end - k:
+            raise CorruptStream("prefix runs past end of stream")
+        pos += k + field(pos, k)
+    if pos > end - k:
+        raise CorruptStream("prefix runs past end of stream")
+    b = field(pos, k)
+    if pos + k + b > end:
+        raise CorruptStream("payload runs past end of stream")
+    return field(pos + k, b)
+
+
 def reference_validate(rows, cols, k, order, buf):
     """Reference VLB load: ``VlbMatrix.from_buffer`` with the validating drain it
     had before its one-bit check, walked by :func:`reference_walk`.

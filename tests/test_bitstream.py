@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -206,3 +208,32 @@ def test_bytes_roundtrip():
     buf.write_field(60, 10, 700)
     again = BitBuffer.from_bytes(buf.to_bytes(), buf.bit_len)
     assert again == buf
+
+
+def test_views_belong_to_the_words_through_growth_copies_and_pickles():
+    # ``view`` and ``octets`` are rebuilt wherever ``words`` is assigned: a
+    # buffer grown field by field past its last word reads every field back,
+    # and a copy, deep copy or unpickled buffer writes its own words alone.
+    rnd = random.Random(31)
+    buf = BitBuffer()
+    fields, pos = [], 0
+    for _ in range(40):
+        width = rnd.randint(1, 64)
+        pos += rnd.randint(0, 70)
+        fields.append((pos, width, rnd.getrandbits(width)))
+        buf.write_field(*fields[-1])
+        pos += width
+    assert buf.word_count > 20
+    for pos, width, value in fields:
+        assert buf.read_field(pos, width) == value
+    source = buf.to_bytes()
+    for twin in (buf.copy(), copy.deepcopy(buf), pickle.loads(pickle.dumps(buf))):
+        assert twin == buf and twin.words is not buf.words
+        for pos, width, value in fields:  # every field flipped, then one past the last word
+            twin.write_field(pos, width, value ^ (1 << width) - 1)
+        twin.write_field(64 * buf.word_count + 5, 64, U64_MAX)
+        for pos, width, value in fields:
+            assert twin.read_field(pos, width) == value ^ (1 << width) - 1
+            assert buf.read_field(pos, width) == value
+        assert twin.read_field(64 * buf.word_count + 5, 64) == U64_MAX
+        assert buf.to_bytes() == source

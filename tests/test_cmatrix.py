@@ -7,6 +7,7 @@ import pytest
 from ccmatrix.bitstream import U64_MAX, bit_length
 from ccmatrix.cmatrix import CompressedMatrix
 from ccmatrix.errors import ArithmeticOverflow, ShapeMismatch
+from ccmatrix.sm import SmMatrix
 from ccmatrix.vlb import VlbMatrix
 
 from conftest import WORKED_ROW, count_calls
@@ -306,9 +307,12 @@ def test_copies_and_pickles_read_alike_and_share_no_words(method):
     # Point access keeps no state on a matrix, so a copy reads alone.
     dense = np.arange(12 * 13, dtype=np.uint64).reshape(12, 13) << np.uint64(50)
     m = CompressedMatrix.compress(dense, method).inner
-    for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+    twins = [copy.deepcopy(m), pickle.loads(pickle.dumps(m))]
+    if method == "sm":
+        twins.append(SmMatrix(12, 13, m.width, "row", m.data.copy()))
+    for twin in twins:
         assert twin == m and twin.data.words is not m.data.words
         assert [twin.get(i, j) for i, j in np.ndindex(12, 13)] == dense.ravel().tolist()
-    if method == "sm":
-        twin.set(3, 4, 1)
-        assert twin.get(3, 4) == 1 and m.get(3, 4) == dense[3, 4]
+        if method == "sm":  # a write through the twin's word view leaves the source alone
+            twin.set(3, 4, 1)
+            assert twin.get(3, 4) == 1 and m.get(3, 4) == dense[3, 4]

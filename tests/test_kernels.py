@@ -25,6 +25,7 @@ from ccmatrix.bitstream import (
     unpack_fields,
 )
 from ccmatrix import vlb
+from ccmatrix.container import dump_bytes, load_bytes
 from ccmatrix.errors import CorruptStream, FieldOverflow
 from ccmatrix.genmat import Uniform, sample_matrix
 from ccmatrix.sm import SmMatrix
@@ -35,6 +36,7 @@ from conftest import (
     count_calls,
     element_starts,
     encode_reference,
+    reference_get,
     reference_hop_table,
     reference_validate,
     reference_walk,
@@ -692,6 +694,41 @@ def test_load_reads_the_top_bit_of_every_payload_wider_than_one_bit():
             assert str(info.value) == (
                 f"prefix {b} at bit {starts[e]} is not the bit-length of its payload"
             )
+
+
+def got_or_rejected(f, *args):
+    try:
+        return f(*args)
+    except CorruptStream as exc:
+        return str(exc)
+
+
+def test_get_and_load_of_a_cut_stream_match_a_per_hop_walk():
+    # ``_hop`` checks only the last start it hopped from.  Cut the stream at
+    # every bit, under its own directory (only the last sub-lane is cut) and
+    # under one whose sub-lanes all end at the cut: every ``get`` must give
+    # what a check per hop gives, and a container of the cut words must load
+    # or fail as ``reference_validate`` does, through ``_walk``'s fallback.
+    m = VlbMatrix.compress(sample_matrix(Uniform(1, 40), 3, 7, 11))
+    k, n = m.k, 21
+    heads = np.array([m.checkpoints[s // 8] + m.offsets[s] for s in range(m.offsets.size)])
+    for cut in range(m.bits_used + 1):
+        data = m.data.copy()
+        data.bit_len = cut
+        for directory in ((m.checkpoints, m.offsets), _directory(np.minimum(heads, cut))):
+            forged = VlbMatrix(3, 7, k, "row", data, *directory)
+            for e in range(n):
+                want = got_or_rejected(reference_get, forged, e)
+                assert got_or_rejected(forged.get, e // 7, e % 7) == want, (cut, e)
+        stream = BitBuffer(cut)
+        stream.words[:-1] = m.data.words[: stream.word_count]
+        stream.words[cut >> 6] &= np.uint64((1 << (cut & 63)) - 1)  # no bit at or past the cut
+        blob = dump_bytes(VlbMatrix(3, 7, k, "row", stream, m.checkpoints, m.offsets))
+        raw = BitBuffer.from_bytes(stream.to_bytes(), WORD_BITS * stream.word_count)  # as loaded
+        want = loaded_or_rejected(reference_validate, 3, 7, k, "row", raw)
+        got = loaded_or_rejected(lambda *_: load_bytes(blob).inner, 3, 7, k, "row", raw)
+        assert got == want, cut
+    assert want == (m.data, m.checkpoints.tolist(), m.offsets.tolist())
 
 
 @pytest.mark.parametrize("k", range(1, 8))

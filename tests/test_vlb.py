@@ -91,7 +91,9 @@ def test_get_and_directory_agree_with_values(size, order):
     flat = m.values().tolist()
     starts = element_starts(flat, m.k)
     want = [starts[e] - starts[e - e % 64] for e in range(0, size, 8)]
-    for g in (m, loaded):
+    words_only = VlbMatrix(r, c, m.k, order, m.data.copy(), m.checkpoints, m.offsets)
+    words_only.data.octets = None  # the big-endian path: ``get`` reads the words by ``_bits``
+    for g in (m, loaded, words_only):
         assert g.checkpoints.tolist() == starts[::64]
         assert g.offsets.tolist() == want and g.offsets.dtype == np.uint16
         for i, j in np.ndindex(r, c):
@@ -137,12 +139,15 @@ def test_get_raises_where_a_prefix_runs_past_its_sub_lane():
         (cut, m.offsets, (12, 13), "prefix"),
         (short, m.offsets, (15,), "payload"),
     ):
-        forged = VlbMatrix(1, 16, m.k, "row", data, m.checkpoints, offs)
-        e = bad[0] - 1
-        assert forged.get(0, e) == values[e]  # wholly inside its sub-lane
-        for e in bad:  # the element's own prefix or payload, or a hopped prefix, runs past
-            with pytest.raises(CorruptStream, match=f"{what} runs past end of stream"):
-                forged.get(0, e)
+        words_only = data.copy()
+        words_only.octets = None  # the big-endian path: ``get`` reads the words by ``_bits``
+        for buf in (data, words_only):
+            forged = VlbMatrix(1, 16, m.k, "row", buf, m.checkpoints, offs)
+            e = bad[0] - 1
+            assert forged.get(0, e) == values[e]  # wholly inside its sub-lane
+            for e in bad:  # the element's own prefix or payload, or a hopped prefix, runs past
+                with pytest.raises(CorruptStream, match=f"^{what} runs past end of stream$"):
+                    forged.get(0, e)
 
 
 def test_checkpoints_start_at_origin_and_increase(rng):
