@@ -80,7 +80,14 @@ def flat_to_dense(flat: np.ndarray, rows: int, cols: int, order: str) -> np.ndar
 
 class PackedMatrix:
     """Base of SM and VLB: ``rows`` x ``cols`` in ``order``, packed in the BitBuffer ``data``
-    in a format of one parameter, the attribute that ``_PARAM`` names.
+    in a format of one parameter, the attribute that ``PARAM`` names.
+
+    A codec class names itself: ``METHOD`` is its method name, the key of
+    ``cmatrix.CODECS``, and ``PARAM`` the name of its parameter, so the
+    container, the report and ``measure`` read both without testing types.
+    ``inner`` is the matrix itself, so a bare codec matrix reads as a
+    ``CompressedMatrix`` does.  Each codec loads a container's payload
+    through ``from_buffer(rows, cols, param, order, buf)``.
 
     Each codec reads in bulk through one generator, ``blocks(out=None)``,
     which yields ``(e0, block)``: the elements from ``e0`` on, in unravel
@@ -93,6 +100,10 @@ class PackedMatrix:
     __slots__ = ()
 
     @property
+    def inner(self) -> "PackedMatrix":
+        return self
+
+    @property
     def bits_used(self) -> int:
         return self.data.bit_len
 
@@ -100,7 +111,7 @@ class PackedMatrix:
         """Same class, shape, order, parameter and stream; a VLB directory follows from its stream."""
         if not isinstance(other, type(self)):
             return NotImplemented
-        keys = ("rows", "cols", self._PARAM, "order", "data")
+        keys = ("rows", "cols", self.PARAM, "order", "data")
         return all(getattr(self, f) == getattr(other, f) for f in keys)
 
     __hash__ = None
@@ -113,6 +124,6 @@ class PackedMatrix:
         return out
 
     def __repr__(self) -> str:
-        p = self._PARAM
+        p = self.PARAM
         shape = f"{self.rows}x{self.cols}"
         return f"{type(self).__name__}({shape}, {p}={getattr(self, p)}, order={self.order!r})"

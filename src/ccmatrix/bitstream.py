@@ -165,13 +165,12 @@ def pack_fields(words: np.ndarray, pos, width, values: np.ndarray, top: int | No
         np.add.at(words[first + 1 :], w, t)
 
 
-def unpack_fields(words: np.ndarray, pos, width, out: np.ndarray | None = None) -> np.ndarray:
-    """Read the fields of ``width`` bits at bit positions ``pos`` as uint64, into ``out``.
+def unpack_fields(words: np.ndarray, pos, width) -> np.ndarray:
+    """Read the fields of ``width`` bits at bit positions ``pos`` as a new uint64 array.
 
-    ``out``, if given, is a uint64 array of one element per field, and is
-    returned; otherwise a new one is.  It drains :func:`unpack_blocks`.
+    It drains :func:`unpack_blocks` into an array of one element per field.
     """
-    out = np.empty(len(pos), dtype=np.uint64) if out is None else out
+    out = np.empty(len(pos), dtype=np.uint64)
     for _ in unpack_blocks(words, pos, width, out):
         pass
     return out

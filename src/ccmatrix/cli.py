@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 stdout closed by its reader (a broken pipe),
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import re
 import sys
@@ -20,7 +19,7 @@ import numpy as np
 from . import experiments
 from ._dense import COL_MAJOR, ROW_MAJOR, dense_to_flat, flat_to_dense
 from .bitstream import U64_MAX
-from .cmatrix import CompressedMatrix
+from .cmatrix import CODECS, CompressedMatrix
 from .container import load_matrix, save_matrix
 from .efficiency import WORST_CASE_K, bit_accounting, measure
 from .errors import CcmatrixError, ParseError
@@ -242,10 +241,7 @@ def _print_report(m: CompressedMatrix, show_histogram: bool = False) -> None:
     print(f"rows: {m.rows}")
     print(f"cols: {m.cols}")
     print(f"order: {inner.order}")
-    if m.method == "sm":
-        print(f"width: {inner.width}")
-    else:
-        print(f"k: {inner.k}")
+    print(f"{inner.PARAM}: {getattr(inner, inner.PARAM)}")
     print(f"bits_allocated: {allocated}")
     print(f"bits_used: {used}")
     print(f"eta: {eta!r}")
@@ -310,7 +306,7 @@ def cmd_experiment(args) -> int:
         f"sizes={','.join(str(s) for s in args.size)} replicates={args.replicates} "
         f"seed={args.seed} k_policy={args.k_policy}",
     )
-    _write_rows(args.csv, experiments.EXPERIMENT_FIELDS, rows, comments)
+    experiments.write_csv(args.csv, experiments.EXPERIMENT_FIELDS, rows, comments)
     return 0
 
 
@@ -335,20 +331,8 @@ def cmd_sweep(args) -> int:
             f"points={len(rows)} sample_size={args.size} w={w} seed={args.seed}",
             f"sm_favored={sm_count} share={100 * sm_count / len(rows):.4f}%",
         )
-    _write_rows(args.csv, fields, rows, comments)
+    experiments.write_csv(args.csv, fields, rows, comments)
     return 0
-
-
-def _write_rows(path, fields, rows, comments) -> None:
-    """Write rows as CSV to ``path``, or to stdout with ``\\n`` line ends, quoted alike."""
-    if path:
-        experiments.write_csv(path, fields, rows, comments)
-        return
-    for c in comments:
-        print(f"# {c}")
-    writer = csv.DictWriter(sys.stdout, fields, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compress", help="pack a text matrix into a container file")
     c.add_argument("input", help="text matrix (whitespace/comma separated)")
     c.add_argument("output", help="container file to write")
-    c.add_argument("--method", choices=("sm", "vlb"), default="sm")
+    c.add_argument("--method", choices=tuple(CODECS), default="sm")
     c.add_argument("--order", choices=("row", "col"), default="row")
     c.set_defaults(func=cmd_compress)
 

@@ -13,14 +13,14 @@ import operator
 
 import numpy as np
 
-from ._dense import ROW_MAJOR
+from ._dense import ROW_MAJOR, PackedMatrix
 from .bitstream import U64_MAX
 from .errors import ArithmeticOverflow, ShapeMismatch
 from .sm import SmMatrix
 from .vlb import VlbMatrix
 
-SM = "sm"
-VLB = "vlb"
+# the one table from method name to codec class: ``compress``, the loader and ``--method``
+CODECS = {codec.METHOD: codec for codec in (SmMatrix, VlbMatrix)}
 
 
 class CompressedMatrix:
@@ -28,26 +28,25 @@ class CompressedMatrix:
 
     __slots__ = ("_repr",)
 
-    def __init__(self, inner: SmMatrix | VlbMatrix):
-        if not isinstance(inner, (SmMatrix, VlbMatrix)):
+    def __init__(self, inner: PackedMatrix):
+        if not isinstance(inner, PackedMatrix):
             raise TypeError(f"expected SmMatrix or VlbMatrix, got {type(inner).__name__}")
         self._repr = inner
 
     @classmethod
-    def compress(cls, dense, method: str = SM, order: str = ROW_MAJOR) -> "CompressedMatrix":
-        if method == SM:
-            return cls(SmMatrix.compress(dense, order))
-        if method == VLB:
-            return cls(VlbMatrix.compress(dense, order))
-        raise ValueError(f"method must be 'sm' or 'vlb', got {method!r}")
+    def compress(cls, dense, method: str = "sm", order: str = ROW_MAJOR) -> "CompressedMatrix":
+        codec = CODECS.get(method) if isinstance(method, str) else None
+        if codec is None:
+            raise ValueError(f"method must be 'sm' or 'vlb', got {method!r}")
+        return cls(codec.compress(dense, order))
 
     @property
-    def inner(self) -> SmMatrix | VlbMatrix:
+    def inner(self) -> PackedMatrix:
         return self._repr
 
     @property
     def method(self) -> str:
-        return SM if isinstance(self._repr, SmMatrix) else VLB
+        return self._repr.METHOD
 
     @property
     def rows(self) -> int:

@@ -12,12 +12,18 @@ Layout (all integers little-endian):
     word_count u64
     payload    word_count x u64 packed words
 
-A fixed-width payload may use any chunk width from the bit-length of its
-largest element up to 64: ``SmMatrix.widen`` produces such matrices, so
-the loader accepts them.  A length-prefixed payload must be canonical:
-every prefix is the bit-length of its payload and ``k`` is the
-bit-length of the largest prefix.  Anything else raises CorruptStream,
-so a loaded matrix re-compresses to the same bits.
+The loader checks the header and the parameter's range, then hands the
+words to the ``from_buffer`` of the codec that ``cmatrix.CODECS`` names
+for the method, which accepts the payload or raises.  A fixed-width
+payload must be exactly the words its chunks need, with no bit set past
+them, and may use any chunk width from the bit-length of its largest
+element up to 64: the fixed-width ``widen`` produces such matrices, so the
+loader accepts them.  A length-prefixed payload must be canonical: every
+prefix is the bit-length of its payload and ``k`` is the bit-length of
+the largest prefix.  Anything else raises CorruptStream or
+TruncatedPayload, so a loaded matrix re-compresses to the same bits.
+Writing reads the method and parameter from the codec class (``METHOD``,
+``PARAM``), so neither direction tests the codec's type.
 """
 
 from __future__ import annotations
@@ -25,11 +31,10 @@ from __future__ import annotations
 import struct
 from pathlib import Path
 
+from ._dense import PackedMatrix
 from .bitstream import WORD_BITS, BitBuffer
-from .cmatrix import CompressedMatrix
+from .cmatrix import CODECS, CompressedMatrix
 from .errors import BadMagic, CorruptStream, TruncatedPayload
-from .sm import SmMatrix
-from .vlb import VlbMatrix
 
 MAGIC = b"CCM1"
 VERSION = 1
@@ -39,22 +44,20 @@ _METHOD_CODES = {"sm": 1, "vlb": 2}
 _ORDER_CODES = {"row": 0, "col": 1}
 _METHOD_NAMES = {v: k for k, v in _METHOD_CODES.items()}
 _ORDER_NAMES = {v: k for k, v in _ORDER_CODES.items()}
+# what the header's param field holds for each method, and its largest value
+_PARAM_RANGES = {"sm": ("chunk width", WORD_BITS), "vlb": ("prefix width", 7)}
 
 
-def dump_bytes(m: CompressedMatrix | SmMatrix | VlbMatrix) -> bytes:
-    inner = m.inner if isinstance(m, CompressedMatrix) else m
-    if isinstance(inner, SmMatrix):
-        method, param = _METHOD_CODES["sm"], inner.width
-    else:
-        method, param = _METHOD_CODES["vlb"], inner.k
+def dump_bytes(m: CompressedMatrix | PackedMatrix) -> bytes:
+    inner = m.inner
     header = _HEADER.pack(
         MAGIC,
         VERSION,
-        method,
+        _METHOD_CODES[inner.METHOD],
         _ORDER_CODES[inner.order],
         inner.rows,
         inner.cols,
-        param,
+        getattr(inner, inner.PARAM),
         inner.data.word_count,
     )
     return header + inner.data.to_bytes()
@@ -81,28 +84,16 @@ def load_bytes(blob: bytes) -> CompressedMatrix:
         )
     if len(payload) > 8 * word_count:
         raise CorruptStream("trailing bytes after declared payload")
-
     method_name = _METHOD_NAMES[method]
-    order_name = _ORDER_NAMES[order]
-    if method_name == "sm":
-        if not 1 <= param <= 64:
-            raise BadMagic(f"chunk width {param} outside 1..64")
-        bit_len = rows * cols * param
-        if word_count != (bit_len + WORD_BITS - 1) // WORD_BITS:
-            raise TruncatedPayload(
-                f"{word_count} words cannot hold {bit_len} bits exactly"
-            )
-        buf = BitBuffer.from_bytes(payload, bit_len)
-        buf.check_padding()
-        return CompressedMatrix(SmMatrix(rows, cols, param, order_name, buf))
-
-    if not 1 <= param <= 7:
-        raise BadMagic(f"prefix width {param} outside 1..7")
+    what, top = _PARAM_RANGES[method_name]
+    if not 1 <= param <= top:
+        raise BadMagic(f"{what} {param} outside 1..{top}")
     buf = BitBuffer.from_bytes(payload, WORD_BITS * word_count)
-    return CompressedMatrix(VlbMatrix.from_buffer(rows, cols, param, order_name, buf))
+    inner = CODECS[method_name].from_buffer(rows, cols, param, _ORDER_NAMES[order], buf)
+    return CompressedMatrix(inner)
 
 
-def save_matrix(m: CompressedMatrix | SmMatrix | VlbMatrix, path) -> None:
+def save_matrix(m: CompressedMatrix | PackedMatrix, path) -> None:
     Path(path).write_bytes(dump_bytes(m))
 
 

@@ -8,6 +8,10 @@ codec it depends on the bit-length histogram and the prefix width k.
 Histogram- and width-based functions are evaluated in exact rational
 arithmetic and converted to float only on return, so measured and
 analytic values can be compared for strict equality.
+
+:func:`bit_accounting` and :func:`measure` take a ``CompressedMatrix`` or
+a bare codec matrix alike and read the codec through ``m.inner``: its
+method name is ``inner.METHOD``, so this module imports no codec.
 """
 
 from __future__ import annotations
@@ -16,9 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitstream import bit_length
-from .cmatrix import CompressedMatrix
-from .sm import SmMatrix
-from .vlb import VlbMatrix
 
 WORST_CASE_K = 7  # prefix width covering bit-lengths up to 64
 
@@ -145,20 +146,19 @@ def solve_two_point(
     return TwoPointSolveResult(float(p1), float(p2), feasible)
 
 
-def bit_accounting(m: CompressedMatrix | SmMatrix | VlbMatrix) -> tuple[int, int, float]:
+def bit_accounting(m) -> tuple[int, int, float]:
     """``(bits_allocated, bits_used, eta)`` of a compressed matrix, decoding nothing.
 
     The allocation is 64 bits per element and ``bits_used`` is the length
     of the packed buffer, so the three need only ``rows``, ``cols`` and
     ``bits_used``.  ``eta`` is the exact allocated-vs-used ratio.
     """
-    inner = m.inner if isinstance(m, CompressedMatrix) else m
-    allocated = 64 * inner.rows * inner.cols
-    used = inner.bits_used
+    allocated = 64 * m.rows * m.cols
+    used = m.bits_used
     return allocated, used, float(Fraction(allocated - used, allocated))
 
 
-def measure(m: CompressedMatrix | SmMatrix | VlbMatrix) -> EfficiencyReport:
+def measure(m) -> EfficiencyReport:
     """Storage accounting for an actual compressed matrix.
 
     ``bits_allocated``, ``bits_used`` and ``eta`` come from
@@ -171,21 +171,19 @@ def measure(m: CompressedMatrix | SmMatrix | VlbMatrix) -> EfficiencyReport:
     matrices the equivalent derived value (bit-length of the largest
     bit-length present).
     """
-    inner = m.inner if isinstance(m, CompressedMatrix) else m
+    inner = m.inner
     counts = inner.bit_length_counts().tolist()
     histogram = {b: f for b, f in enumerate(counts) if f}
     allocated, used, eta = bit_accounting(inner)
-    if isinstance(inner, VlbMatrix):
+    if inner.METHOD == "vlb":
         k = inner.k  # the prefix width actually stored
-        method = "vlb"
     else:
         k = bit_length(max(histogram))
-        method = "sm"
     return EfficiencyReport(
         bits_allocated=allocated,
         bits_used=used,
         eta=eta,
         histogram=histogram,
         k=k,
-        method=method,
+        method=inner.METHOD,
     )

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import csv
 import os
+import sys
 import threading
+from contextlib import nullcontext
 from itertools import product
 
 from .bitstream import U64_MAX, bit_length
@@ -241,10 +243,13 @@ def constant_bitlen_rows() -> list[dict]:
 
 
 def write_csv(path, fieldnames, rows, comments=()) -> None:
-    """Write rows as CSV, preceded by '#' comment lines recording the run."""
-    with open(path, "w", newline="") as f:
+    """Write rows as CSV, preceded by '#' comment lines recording the run.
+
+    To the file ``path``, rows end in ``\\r\\n`` and comment lines in ``\\n``;
+    with no path, to stdout, every line ends in ``\\n``.  Fields are quoted alike."""
+    with open(path, "w", newline="") if path else nullcontext(sys.stdout) as f:
         for c in comments:
             f.write(f"# {c}\n")
-        writer = csv.DictWriter(f, fieldnames=fieldnames)
+        writer = csv.DictWriter(f, fieldnames, lineterminator="\r\n" if path else "\n")
         writer.writeheader()
         writer.writerows(rows)

@@ -32,14 +32,15 @@ from .bitstream import (
     unpack_blocks,
     write_bits,
 )
-from .errors import FieldOverflow, NarrowingRequested, WidthOverflow
+from .errors import FieldOverflow, NarrowingRequested, TruncatedPayload, WidthOverflow
 
 
 class SmMatrix(PackedMatrix):
     """Matrix packed into fixed ``width``-bit chunks."""
 
     __slots__ = ("rows", "cols", "width", "order", "data")
-    _PARAM = "width"
+    METHOD = "sm"
+    PARAM = "width"
 
     def __init__(self, rows: int, cols: int, width: int, order: str, data: BitBuffer):
         self.rows = rows
@@ -65,6 +66,23 @@ class SmMatrix(PackedMatrix):
         except OverflowError as exc:
             raise FieldOverflow(f"value out of unsigned 64-bit range: {exc}") from None
         return cls._fill(rows, cols, width, order, flat)
+
+    @classmethod
+    def from_buffer(cls, rows: int, cols: int, width: int, order: str, buf: BitBuffer) -> "SmMatrix":
+        """Adopt the packed words of a container as a matrix of ``width``-bit chunks.
+
+        ``buf`` must hold exactly the words that ``rows * cols`` chunks
+        need, else TruncatedPayload; its ``bit_len`` is then set to the
+        chunks' end, and a bit set past it raises CorruptStream.  Any
+        width from the bit-length of the largest chunk up to 64 loads, as
+        :meth:`widen` makes such matrices.
+        """
+        bit_len = rows * cols * width
+        if buf.word_count != -(-bit_len // WORD_BITS):
+            raise TruncatedPayload(f"{buf.word_count} words cannot hold {bit_len} bits exactly")
+        buf.bit_len = bit_len
+        buf.check_padding()
+        return cls(rows, cols, width, order, buf)
 
     @classmethod
     def _fill(cls, rows, cols, width, order, flat: np.ndarray, top=None) -> "SmMatrix":

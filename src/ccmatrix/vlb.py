@@ -281,7 +281,8 @@ class VlbMatrix(PackedMatrix):
     """
 
     __slots__ = ("rows", "cols", "k", "order", "data", "checkpoints", "offsets")
-    _PARAM = "k"
+    METHOD = "vlb"
+    PARAM = "k"
 
     def __init__(
         self,

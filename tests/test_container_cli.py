@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -124,6 +125,26 @@ def test_container_rejects_prefix_longer_than_payload():
 def test_container_rejects_prefix_width_above_minimum():
     with pytest.raises(CorruptStream, match="prefix width 3"):
         load_bytes(vlb_container(3, [2 | (3 << 3)]))  # canonical payload, k should be 2
+
+
+@pytest.mark.parametrize(
+    "method, param, words, error, message",
+    [
+        (1, 0, [0], BadMagic, "chunk width 0 outside 1..64"),
+        (1, 65, [0, 0], BadMagic, "chunk width 65 outside 1..64"),
+        (2, 0, [0], BadMagic, "prefix width 0 outside 1..7"),
+        (2, 8, [0], BadMagic, "prefix width 8 outside 1..7"),
+        (1, 10, [3, 0], TruncatedPayload, "2 words cannot hold 10 bits exactly"),  # one zero word too many
+        (1, 10, [], TruncatedPayload, "0 words cannot hold 10 bits exactly"),
+    ],
+    ids=["width-0", "width-65", "k-0", "k-8", "sm-word-too-many", "sm-no-word"],
+)
+def test_container_checks_the_parameter_range_and_the_sm_word_count(
+    method, param, words, error, message
+):
+    header = struct.pack("<4sBBBQQBQ", b"CCM1", 1, method, 0, 1, 1, param, len(words))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        load_bytes(header + b"".join(w.to_bytes(8, "little") for w in words))
 
 
 def test_vlb_header_declaring_2_to_the_62_elements_fails_in_the_walk():
@@ -947,11 +968,20 @@ def test_cli_experiment_table_preset_deterministic(tmp_path):
 
 
 def test_cli_experiment_prints_the_rows_of_its_csv_file(tmp_path, capsys):
+    """Without ``--csv``, an experiment and a sweep print the bytes of their CSV
+    file, with the file's ``\\r\\n`` row ends turned into ``\\n``."""
     out = tmp_path / "t.csv"
-    args = ["experiment", "--table", "3", "--size", "100", "--replicates", "2", "--seed", "5"]
-    assert main(args + ["--csv", str(out)]) == 0
-    assert main(args) == 0
-    printed = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    table = ["experiment", "--table", "3", "--size", "100", "--replicates", "2", "--seed", "5"]
+    sweep = ["sweep", "--step", "32", "--size", "200", "--seed", "3"]
+    for args in (sweep, table):  # the table last: its rows are read below
+        assert main(args + ["--csv", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(args) == 0
+        stdout = capsys.readouterr().out
+        file_bytes = out.read_bytes()
+        assert file_bytes.count(b"\r\n") == len([l for l in stdout.splitlines() if l[:1] != "#"])
+        assert stdout.encode() == file_bytes.replace(b"\r\n", b"\n")
+    printed = [l for l in stdout.splitlines() if not l.startswith("#")]
     with open(out, newline="") as f:
         written = list(csv.reader(l for l in f if not l.startswith("#")))
     rows = list(csv.reader(printed))
