@@ -27,17 +27,22 @@ Each sub-lane must end exactly where the next one starts.
 Two prefix walkers hop the stream.  ``get`` reads the bytes of one
 sub-lane, through the buffer's byte view ``octets``, as one Python int,
 shifted so the sub-lane starts at bit 0, and ``_hop`` hops it with one
-shift and mask per prefix: broadword rank/select
-works a whole word per operation, and here the word is the whole
-sub-lane.  ``from_buffer`` finds every sub-lane start with ``_walk``,
-which hops the whole stream through a table indexed by bit position, as
-table-driven decoders of prefix codes do (Moffat & Turpin, "On the
-Implementation of Minimum Redundancy Prefix Codes", 1997): the table is
-built a block at a time by one gather from ``_hop_bytes(k)``, so each hop
-is one byte lookup, eight of them straight-line per sub-lane.  A table costs
-more to build than the hops of one ``get`` save, so ``get`` keeps
-``_hop``; ``_walk`` also falls back on ``_hop``, one sub-lane int at a
-time, for a lane that runs past the stream, to raise its error.
+shift and mask per prefix: broadword rank/select works a whole word per
+operation, and here the word is the whole sub-lane.  ``get`` reads the
+sub-lane's ends from the directory through ``memoryview``s of its two
+arrays, built with the matrix in ``__init__``, whose items are Python
+ints, as ``BitBuffer.view`` is for the words; so a call makes no numpy
+scalar.  ``__reduce__`` rebuilds a copied or unpickled matrix from its
+arrays, so its views are its own.  ``from_buffer`` finds every sub-lane
+start with ``_walk``, which hops the whole stream through a table indexed
+by bit position, as table-driven decoders of prefix codes do (Moffat &
+Turpin, "On the Implementation of Minimum Redundancy Prefix Codes",
+1997): the table is built a block at a time by one gather from
+``_hop_bytes(k)``, so each hop is one byte lookup, eight of them
+straight-line per sub-lane.  A table costs more to build than the hops
+of one ``get`` save, so ``get`` keeps ``_hop``; ``_walk`` also falls
+back on ``_hop``, one sub-lane int at a time, for a lane that runs past
+the stream, to raise its error.
 
 The block prefix hops of ``_starts`` serve the load, ``blocks`` and
 ``bit_length_counts`` alike.  ``from_buffer`` walks prefixes to find the
@@ -80,6 +85,7 @@ _PER = _STRIDE // _SUBLANE  # sub-lanes per lane
 _GROUP = 4096  # elements per extract pass, and sub-lanes per decode block, keep temporaries small
 _BLOCK = 1 << 17  # lane-start bits per hop table: a table is about 137 KiB
 _SPAN = _SUBLANE * (7 + 127) // WORD_BITS + 2  # words that hold any sub-lane of 8 walked elements
+_from_bytes = int.from_bytes  # bound once: the classmethod lookup costs ``get`` about 80 ns
 
 
 def _bits(words: np.ndarray, pos: int, stop: int) -> int:
@@ -278,9 +284,17 @@ class VlbMatrix(PackedMatrix):
     ``offsets[s]`` bits after the checkpoint of its lane, so the sub-lane
     at a lane's start holds 0.  Element indexes follow from the lane and
     sub-lane, so they are not stored.
+
+    ``_cps`` and ``_offs`` are ``memoryview``s of ``checkpoints`` and
+    ``offsets``, for :meth:`get`: indexing them gives Python ints.  They
+    are built in ``__init__``, the only place the arrays are assigned, so
+    an in-place edit of an array is seen through its view.  A
+    ``memoryview`` cannot be pickled, so ``__reduce__`` rebuilds the
+    matrix from its arrays: ``copy.deepcopy`` and ``pickle`` give a twin
+    with views of its own arrays, and ``copy.copy`` one that shares them.
     """
 
-    __slots__ = ("rows", "cols", "k", "order", "data", "checkpoints", "offsets")
+    __slots__ = ("rows", "cols", "k", "order", "data", "checkpoints", "offsets", "_cps", "_offs")
     METHOD = "vlb"
     PARAM = "k"
 
@@ -301,6 +315,12 @@ class VlbMatrix(PackedMatrix):
         self.data = data
         self.checkpoints = checkpoints
         self.offsets = offsets
+        self._cps = memoryview(checkpoints)
+        self._offs = memoryview(offsets)
+
+    def __reduce__(self):  # the views are rebuilt from the arrays, never pickled
+        args = (self.rows, self.cols, self.k, self.order, self.data, self.checkpoints, self.offsets)
+        return VlbMatrix, args
 
     @classmethod
     def compress(cls, dense, order: str = ROW_MAJOR) -> "VlbMatrix":
@@ -386,31 +406,32 @@ class VlbMatrix(PackedMatrix):
         checkpoint, so at most 7 prefixes lie between it and the element.
         It ends where the next sub-lane starts, read from the same
         checkpoint for 7 of every 8 sub-lanes, or at the end of the stream
-        for the last one.  Its bytes are read from ``data.octets`` as one
-        Python int, shifted so the sub-lane starts at bit 0 (from the words,
-        through :func:`_bits`, on a big-endian host): hops, prefix and
-        payload are all shifts and masks of that int.  CorruptStream is
-        raised where a hopped prefix, or the element's own prefix or
-        payload, runs past the sub-lane's end.  :func:`_hop` checks only the
-        last start it hopped from, which raises exactly where a check per
-        hop would, as starts only grow.
+        for the last one.  The checkpoint and offsets are read through the
+        views ``_cps`` and ``_offs`` as Python ints.  The sub-lane's bytes
+        are read from ``data.octets`` as one Python int, shifted so the
+        sub-lane starts at bit 0 (from the words, through :func:`_bits`,
+        on a big-endian host): hops, prefix and payload are all shifts and
+        masks of that int.  CorruptStream is raised where a hopped prefix,
+        or the element's own prefix or payload, runs past the sub-lane's
+        end.  :func:`_hop` checks only the last start it hopped from, which
+        raises exactly where a check per hop would, as starts only grow.
         """
         idx = unravel_index(i, j, self.rows, self.cols, self.order)
-        offs = self.offsets
-        cps = self.checkpoints
+        offs = self._offs
+        cps = self._cps
         data = self.data
         s = idx // _SUBLANE
-        lane = cps.item(s // _PER)
-        pos = lane + offs.item(s)
+        lane = cps[s // _PER]
+        pos = lane + offs[s]
         end = data.bit_len
         nxt = s + 1
-        if nxt < offs.size:
-            end = (lane if nxt % _PER else cps.item(nxt // _PER)) + offs.item(nxt)
+        if nxt < len(offs):
+            end = (lane if nxt % _PER else cps[nxt // _PER]) + offs[nxt]
         octets = data.octets
         if octets is None:
             x = _bits(data.words, pos, (end >> 6) + 2)
         else:
-            x = int.from_bytes(octets[pos >> 3 : (end + 7) >> 3], "little") >> (pos & 7)
+            x = _from_bytes(octets[pos >> 3 : (end + 7) >> 3], "little") >> (pos & 7)
         k = self.k
         limit = end - pos
         p = _hop(x, idx - s * _SUBLANE, k, limit)

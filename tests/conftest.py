@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ccmatrix.bitstream import U64_MAX, WORD_BITS, BitBuffer, bit_length, unpack_fields
+from ccmatrix.bitstream import U64_MAX, WORD_BITS, BitBuffer, bit_length
 from ccmatrix.errors import CorruptStream, ParseError
 from ccmatrix.vlb import VlbMatrix, _directory
 
@@ -100,6 +100,12 @@ def scalar_decode(m):
     return values
 
 
+def word_field(words, p, width):
+    """The ``width``-bit field at bit ``p`` of a list of words, read from its two words."""
+    w = p >> 6
+    return (words[w] | words[w + 1] << WORD_BITS) >> (p & 63) & ((1 << width) - 1)
+
+
 def reference_walk(buf, n, k):
     """Reference sub-lane walk: one shift and mask per prefix over a list of words.
 
@@ -115,8 +121,7 @@ def reference_walk(buf, n, k):
             starts.append(pos)
         if pos > limit - k:
             raise CorruptStream("prefix runs past end of stream")
-        w = pos >> 6
-        pos += k + ((words[w] | words[w + 1] << WORD_BITS) >> (pos & 63) & ((1 << k) - 1))
+        pos += k + word_field(words, pos, k)
     if pos > limit:
         raise CorruptStream("payload runs past end of stream")
     return starts, pos
@@ -137,29 +142,29 @@ def reference_get(m, idx):
     if s + 1 < m.offsets.size:
         end = int(m.checkpoints[(s + 1) // 8]) + int(m.offsets[s + 1])
 
-    def field(p, width):
-        w = p >> 6
-        return (words[w] | words[w + 1] << WORD_BITS) >> (p & 63) & ((1 << width) - 1)
-
     for _ in range(idx % 8):
         if pos > end - k:
             raise CorruptStream("prefix runs past end of stream")
-        pos += k + field(pos, k)
+        pos += k + word_field(words, pos, k)
     if pos > end - k:
         raise CorruptStream("prefix runs past end of stream")
-    b = field(pos, k)
+    b = word_field(words, pos, k)
     if pos + k + b > end:
         raise CorruptStream("payload runs past end of stream")
-    return field(pos + k, b)
+    return word_field(words, pos + k, b)
 
 
 def reference_validate(rows, cols, k, order, buf):
-    """Reference VLB load: ``VlbMatrix.from_buffer`` with the validating drain it
-    had before its one-bit check, walked by :func:`reference_walk`.
+    """Reference VLB load, with no hop of ``VlbMatrix``'s own: :func:`reference_walk`
+    finds the sub-lane heads, and each sub-lane is hopped again one element at
+    a time over a list of words, as in :func:`reference_get`.
 
-    Every payload is extracted to test its top bit, and ``k`` is checked
-    against the bit-length of the largest value.  Returns the loaded
-    matrix, or raises CorruptStream with the loader's message.
+    The elements are checked in consecutive groups of 4,096, as the loader
+    checks them: within a group, every prefix against 1..64 and every payload
+    against the stream's end first, then the top bit of every payload wider
+    than one bit.  Last, ``k`` is checked against the bit-length of the
+    largest prefix.  Returns the loaded matrix, or raises CorruptStream with
+    the loader's message.
     """
     n = rows * cols
     heads, end = reference_walk(buf, n, k)
@@ -167,22 +172,29 @@ def reference_validate(rows, cols, k, order, buf):
         raise CorruptStream("payload longer than the encoded stream")
     buf.bit_len = end
     buf.check_padding()
-    m = VlbMatrix(rows, cols, k, order, buf, *_directory(np.array(heads, dtype=np.int64)))
-    top = 0
-    for _, _, prefixes in m._starts():
-        for _, pos, b in prefixes:
-            v = unpack_fields(buf.words, pos + k, b)
-            bad = (v | 1) >> (b - 1).view(np.uint64) == 0
-            if bad.any():
-                i = int(bad.argmax())
-                raise CorruptStream(
-                    f"prefix {int(b[i])} at bit {int(pos[i])} is not the bit-length of its payload"
-                )
-            top = max(top, int(v.max()))
-    top = bit_length(top)
+    words = buf.words.tolist()
+    elements = []  # (start, prefix) of every element
+    for s, pos in enumerate(heads):
+        for _ in range(min(8, n - 8 * s)):
+            b = word_field(words, pos, k)
+            elements.append((pos, b))
+            pos += k + b
+    for a in range(0, n, 4096):
+        group = elements[a : a + 4096]
+        for pos, b in group:
+            if b == 0:
+                raise CorruptStream(f"zero length prefix at bit {pos}")
+            if b > WORD_BITS:
+                raise CorruptStream(f"length prefix {b} exceeds 64 bits")
+            if pos + k + b > end:
+                raise CorruptStream("payload runs past end of stream")
+        for pos, b in group:
+            if b > 1 and not word_field(words, pos + k + b - 1, 1):
+                raise CorruptStream(f"prefix {b} at bit {pos} is not the bit-length of its payload")
+    top = max(b for _, b in elements)
     if k != bit_length(top):
         raise CorruptStream(f"prefix width {k} is not the bit-length of the largest prefix {top}")
-    return m
+    return VlbMatrix(rows, cols, k, order, buf, *_directory(np.array(heads, dtype=np.int64)))
 
 
 def reference_hop_table(words, base, size, k):

@@ -4,13 +4,16 @@ A hypothesis state machine (stateful testing as in QuickCheck) runs
 sequences of operations on compressed matrices beside a dense uint64
 model of each: compress, point reads and in-place writes, widening,
 arithmetic on results (a matrix product against the exact Python-int
-one), and a save and reload.  After every step each matrix must decode
-to its model, so a block buffer or a view of ``words`` shared between
-matrices shows up as a mismatch.  The matrices a step made
-or changed are checked further: their blocks, their histogram, their
-width, their measured efficiency against the formula of their codec, and
-a reload that gives the same bytes.
+one), a save and reload, and a copy that replaces its source.  After
+every step each matrix must decode to its model, so a block buffer or a
+view of ``words`` shared between matrices shows up as a mismatch.  The
+matrices a step made or changed are checked further: their blocks, their
+histogram, their width, their measured efficiency against the formula of
+their codec, and a reload that gives the same bytes.
 """
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from ccmatrix.cmatrix import CompressedMatrix
 from ccmatrix.container import dump_bytes, load_bytes
 from ccmatrix.efficiency import eta1, eta2, measure
 from ccmatrix.errors import ArithmeticOverflow, NarrowingRequested, WidthOverflow
+from ccmatrix.sm import SmMatrix
 
 # Largest bit-length of a drawn matrix: the SM view widths 8/16/32/64, the
 # VLB elements too wide to share a word with their prefix (58 on), and others.
@@ -172,6 +176,34 @@ class PackedMatrices(RuleBasedStateMachine):
         again = load_bytes(blob)
         assert again.method == e.cm.method
         self.add_entry(again, e.model.copy(), minimal=False)
+
+    @rule(pick=picks, how=st.sampled_from(["deepcopy", "pickle", "words"]), i=picks, j=picks)
+    def replace_with_copy(self, pick, how, i, j):
+        """Replace an entry by a copy, which the other rules then read and write.
+
+        ``words`` makes an SM copy from a copy of its words (a VLB entry is
+        deep-copied instead).  One element of an SM copy is then flipped by
+        ``set``, which must leave the source as it was.
+        """
+        at = pick % len(self.entries)
+        e = self.entries[at]
+        inner = e.cm.inner
+        if how == "pickle":
+            twin = pickle.loads(pickle.dumps(e.cm))
+        elif how == "words" and e.cm.method == "sm":
+            words = inner.data.copy()
+            twin = CompressedMatrix(SmMatrix(inner.rows, inner.cols, inner.width, inner.order, words))
+        else:
+            twin = copy.deepcopy(e.cm)
+        model = e.model.copy()
+        if e.cm.method == "sm":
+            i, j = i % model.shape[0], j % model.shape[1]
+            model[i, j] ^= np.uint64(1)
+            twin.inner.set(i, j, int(model[i, j]))
+            assert inner.get(i, j) == int(e.model[i, j])
+            assert np.array_equal(inner.values(), flat(e))
+        self.entries[at] = Entry(twin, model)
+        self.touched.append(self.entries[at])
 
     @invariant()
     def every_matrix_decodes_to_its_model(self):

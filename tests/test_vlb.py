@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +151,27 @@ def test_get_raises_where_a_prefix_runs_past_its_sub_lane():
             for e in bad:  # the element's own prefix or payload, or a hopped prefix, runs past
                 with pytest.raises(CorruptStream, match=f"^{what} runs past end of stream$"):
                     forged.get(0, e)
+
+
+def test_get_reads_the_directory_through_views_of_its_own_arrays():
+    # ``get`` reads ``checkpoints`` and ``offsets`` through views built with
+    # the matrix, so it sees an in-place edit of either array.  A deep copy
+    # and an unpickled twin view arrays of their own; a shallow copy shares them.
+    values = list(range(1, 201))  # three lanes of 64, a short fourth one
+    m = VlbMatrix.compress([values])
+    starts = element_starts(values, m.k)
+    for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert twin == m and twin.offsets is not m.offsets
+        twin.offsets[1] = starts[9]  # sub-lane 1 now starts one element late
+        assert twin.get(0, 8) == values[9]
+        assert [m.get(0, e) for e in range(200)] == values
+    shallow = copy.copy(m)
+    assert shallow.checkpoints is m.checkpoints and shallow.offsets is m.offsets
+    m.offsets[1] = starts[9]
+    m.checkpoints[1] = starts[65]  # so does lane 1, whose first offset is 0
+    for forged in (m, shallow):
+        assert forged.get(0, 8) == values[9] and forged.get(0, 64) == values[65]
+        assert forged.get(0, 7) == values[7] and forged.get(0, 128) == values[128]
 
 
 def test_checkpoints_start_at_origin_and_increase(rng):
